@@ -66,14 +66,14 @@
 //!   loads) on the work-stealing pool; pool-shape invariance of the
 //!   combined fingerprint is asserted before recording it;
 //! * `fig3_sweep_batched` / `sweep_grid_pool_batched` — the replica-
-//!   batch A/B rows: for these two the blocks compare *steppers*, not
+//!   batch A/B rows: for these two the blocks compare *pools*, not
 //!   fast-forward — `before` runs the grid per-replica through
-//!   `run_pool` (the legacy `Experiment::run` reference loop), `after`
-//!   advances each stolen chunk as one `ReplicaBatch` in lockstep over
-//!   the engine's masked fast stepper (`run_pool_batched`), idle
-//!   fast-forward at its default on both sides.  The fingerprint
-//!   equality the harness asserts between blocks *is* the
-//!   batch-vs-sequential bit-identity oracle at paper scale.
+//!   `run_pool` (solo `Experiment::run`), `after` advances each stolen
+//!   chunk as one `ReplicaBatch` in lockstep (`run_pool_batched`); both
+//!   step through the engine's masked pipeline, with idle fast-forward
+//!   at its default on both sides.  The fingerprint equality the
+//!   harness asserts between blocks *is* the batch-vs-sequential
+//!   bit-identity oracle at paper scale.
 //!
 //! Each traffic scenario records a *determinism fingerprint* (packets,
 //! flits, latency and energy with exact bit patterns); two engines are
@@ -193,12 +193,12 @@ fn app_run(seed: u64, wireless: WirelessModel, no_ff: bool) -> (f64, u64, Finger
 
 /// A/B runner for the replica-batch rows.  `per_replica = true` (the
 /// `before` block) runs the grid's experiments one at a time on the
-/// work-stealing pool — the legacy `Experiment::run` reference stepper;
-/// `false` (the `after` block) advances each stolen chunk as one
-/// `chunk`-wide `ReplicaBatch` in lockstep over the engine's masked
-/// fast stepper (`run_pool_batched`).  Idle fast-forward stays at its
-/// default on **both** sides, so the row isolates exactly what replica
-/// batching buys; the harness's block-equality assertion doubles as the
+/// work-stealing pool (solo `Experiment::run`); `false` (the `after`
+/// block) advances each stolen chunk as one `chunk`-wide
+/// `ReplicaBatch` in lockstep (`run_pool_batched`).  Both step through
+/// the engine's masked pipeline and keep idle fast-forward at its
+/// default, so the row isolates exactly what replica batching buys;
+/// the harness's block-equality assertion doubles as the
 /// batch-vs-sequential bit-identity check at paper scale.
 fn pooled_grid_run(grid: &ScenarioGrid, chunk: usize, per_replica: bool) -> Measured {
     let experiments = grid.experiments();
@@ -532,8 +532,7 @@ fn main() {
         ("fig3_sweep_batched", Box::new(|per_replica| {
             // The fig3 low-to-mid-load curve as a replica batch: all six
             // wireless load points advanced in lockstep by one driver
-            // loop over the masked fast stepper, vs the same points run
-            // one at a time through the legacy stepper.
+            // loop, vs the same points run one at a time.
             let grid = ScenarioGrid::new("fig3-batched")
                 .loads(&[0.001, 0.002, 0.004, 0.008, 0.016, 0.032]);
             pooled_grid_run(&grid, 6, per_replica)
@@ -709,14 +708,14 @@ fn main() {
     );
     json.push_str(
         "    \"replica_batch_rows\": \"fig3_sweep_batched and sweep_grid_pool_batched \
-         compare steppers, not fast-forward: before = per-replica run_pool over the \
-         legacy reference loop, after = run_pool_batched advancing each chunk as one \
-         ReplicaBatch in lockstep over the masked fast stepper (word bitsets of busy \
-         links/switches/sources; fused per-switch sweep+RC+VA and ST passes over \
-         128-bit busy-VC masks), idle fast-forward at its default in both blocks.  \
-         Lanes round-robin in cache-friendly slices (docs/engine.md); the asserted \
-         block fingerprint equality is the batch-vs-sequential bit-identity oracle \
-         at paper scale\",\n",
+         compare pools, not fast-forward: before = per-replica run_pool (solo \
+         Experiment::run), after = run_pool_batched advancing each chunk as one \
+         ReplicaBatch in lockstep; both step through the masked pipeline (word \
+         bitsets of busy links/switches/sources; fused per-switch sweep+RC+VA and \
+         ST passes over 128-bit busy-VC masks), idle fast-forward at its default in \
+         both blocks.  Lanes round-robin in cache-friendly slices (docs/engine.md); \
+         the asserted block fingerprint equality is the batch-vs-sequential \
+         bit-identity oracle at paper scale\",\n",
     );
     json.push_str(
         "    \"app_rows\": \"absolute app-row values differ from pre-PR4 files: the \

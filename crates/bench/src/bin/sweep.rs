@@ -78,7 +78,7 @@ fn usage() -> String {
      catalog / run options:\n\
        --catalog DIR          catalog directory (default: results/catalog)\n\
        --threads N            pool threads (default: all cores)\n\
-       --chunk N              steal/batch width (default: 4)\n\
+       --chunk N              pool steal width (default: 4)\n\
        --shard I/N            submit only shard I of N (default 0/1)\n\
        --abort-after-misses K simulate a crash after K fresh points (exit 3)\n\
        --json                 status: machine-readable per-shard counts\n\

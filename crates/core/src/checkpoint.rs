@@ -361,7 +361,7 @@ pub fn run_with_checkpoints(
         if kill_at.is_some_and(|k| cycle >= k) {
             return Ok(None);
         }
-        cycle = system.run_iteration(workload, cycle, false)?;
+        cycle = system.run_iteration(workload, cycle)?;
         if cycle >= next_mark && cycle < total {
             store.store(fp, &system.snapshot())?;
             next_mark = (cycle / every + 1) * every;

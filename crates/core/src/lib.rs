@@ -24,8 +24,8 @@
 //!   quarantine-on-corruption, making sweeps resumable and shardable
 //!   (front-ended by the `sweep` CLI in `wimnet-bench`).
 //! * [`replica`] — [`ReplicaBatch`]: N independent scenario points
-//!   advanced in lockstep by one driver loop over the engine's masked
-//!   fast stepper, bit-identical to N sequential runs (see
+//!   advanced in lockstep by one driver loop, bit-identical to N
+//!   sequential runs (see
 //!   `docs/engine.md`, "Replica batching").
 //! * [`checkpoint`] — full-engine [`Snapshot`]s and the
 //!   [`CheckpointStore`]: snapshot → restore → run is bit-identical to

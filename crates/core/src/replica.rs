@@ -14,18 +14,14 @@
 //! any lane computes: a batch of N points produces
 //! [`RunOutcome`]s **bit-identical** to N sequential
 //! [`Experiment::run`] calls, and a batch of one is bit-identical to
-//! the legacy path (both pinned by `tests/proptests.rs` and the
+//! the solo path (both pinned by `tests/proptests.rs` and the
 //! `replica_batch` suite).
 //!
-//! What the batch buys is the *stepper*: lanes advance through the
-//! masked fast path ([`MultichipSystem::supports_fast_step`] →
-//! `Network::step_fast`), which walks word bitsets of busy links,
-//! switches and source queues instead of scanning the full component
-//! arrays, and fuses the per-switch sweep/route/allocate passes over a
-//! 128-bit busy-VC mask.  The fast path is decision-identical to the
-//! reference stepper (the `fast_step` differential suite in
-//! `wimnet-noc` holds them bit-equal cycle by cycle), so the batch is
-//! a pure wall-clock optimisation.  Fast-forward stays per-lane: an
+//! The batch buys nothing over solo runs any more: every run, solo or
+//! batched, steps through the engine's masked pipeline, and solo runs
+//! on the work-stealing pool ([`crate::sweeps::run_pool`]) are faster
+//! at equal threads.  The batch is kept only until its callers move to
+//! the solo pool.  Fast-forward stays per-lane: an
 //! idle lane jumps its **full** delta immediately (not clamped to the
 //! batch's minimum next-event frontier), which both preserves the solo
 //! `fast_forwarded_cycles` accounting bit-for-bit and lets drained
@@ -48,9 +44,6 @@ struct Lane {
     workload: Box<dyn Workload + Send>,
     cycle: u64,
     total: u64,
-    /// Whether this lane's switches fit the masked fast stepper
-    /// (decided once at build; paper-scale configs always do).
-    fast: bool,
 }
 
 /// A lane slot: still running, or already resolved (finished, failed,
@@ -89,16 +82,12 @@ impl ReplicaBatch {
         let slots = experiments
             .iter()
             .map(|exp| match MultichipSystem::build(exp.config()) {
-                Ok(system) => {
-                    let fast = system.supports_fast_step();
-                    Slot::Live(Box::new(Lane {
-                        total: system.run_total_cycles(),
-                        system,
-                        workload: exp.build_workload(),
-                        cycle: 0,
-                        fast,
-                    }))
-                }
+                Ok(system) => Slot::Live(Box::new(Lane {
+                    total: system.run_total_cycles(),
+                    system,
+                    workload: exp.build_workload(),
+                    cycle: 0,
+                })),
                 Err(e) => Slot::Done(Box::new(Err(e))),
             })
             .collect();
@@ -134,10 +123,7 @@ impl ReplicaBatch {
             let Slot::Live(lane) = slot else { continue };
             let mut done: Option<Result<RunOutcome, CoreError>> = None;
             for _ in 0..self.slice {
-                match lane
-                    .system
-                    .run_iteration(lane.workload.as_mut(), lane.cycle, lane.fast)
-                {
+                match lane.system.run_iteration(lane.workload.as_mut(), lane.cycle) {
                     Ok(next) if next < lane.total => lane.cycle = next,
                     Ok(_) => {
                         done =

@@ -75,8 +75,10 @@ pub fn run_pool(
 
 /// Runs `experiments` like [`run_pool`], but each steal executes its
 /// whole chunk as **one [`crate::replica::ReplicaBatch`]**: the worker advances the
-/// chunk's simulations in lockstep through the engine's masked fast
-/// stepper instead of running them to completion one after another.
+/// chunk's simulations in lockstep instead of running them to
+/// completion one after another.  Every run steps through the same
+/// masked pipeline either way, and solo runs on [`run_pool`] are
+/// faster at equal threads.
 ///
 /// The contract is unchanged: per-lane results are exactly what each
 /// `experiments[i].run()` returns (bit-identical outcomes, per-lane
@@ -536,8 +538,8 @@ impl ScenarioGrid {
     }
 
     /// Runs the grid on the replica-batched pool: each steal advances a
-    /// `chunk`-wide [`crate::replica::ReplicaBatch`] in lockstep over
-    /// the engine's fast stepper.  Outcomes are bit-identical to
+    /// `chunk`-wide [`crate::replica::ReplicaBatch`] in lockstep.
+    /// Outcomes are bit-identical to
     /// [`ScenarioGrid::run_with`] at every pool shape.
     ///
     /// # Errors
@@ -585,9 +587,9 @@ impl ScenarioGrid {
 
     /// Runs the grid through the result `catalog`: cache hits are
     /// served from disk at memcpy speed, only misses simulate (on the
-    /// replica-batched pool, [`run_pool_batched`]), and every fresh
-    /// outcome is memoized before the call returns.  Outcomes are
-    /// bit-identical to an uncached [`ScenarioGrid::run_batched`] —
+    /// work-stealing pool, [`run_pool`]), and every fresh outcome is
+    /// memoized before the call returns.  Outcomes are bit-identical
+    /// to an uncached [`ScenarioGrid::run_with`] —
     /// simulations are deterministic and the JSON layer round-trips
     /// every finite f64 exactly — so a killed sweep resumed from its
     /// partial catalog converges on the same final vector.
@@ -666,7 +668,7 @@ impl ScenarioGrid {
 
         let experiments: Vec<Experiment> =
             to_run.iter().map(|&i| self.experiment(&shard_points[i])).collect();
-        let fresh = run_pool_batched(&experiments, threads, chunk)?;
+        let fresh = run_pool(&experiments, threads, chunk)?;
         for (&i, outcome) in to_run.iter().zip(fresh) {
             catalog.store(&fingerprints[i], &shard_points[i], &outcome)?;
             slots[i] = Some(outcome);
@@ -696,7 +698,7 @@ impl ScenarioGrid {
     /// snapshot at each cadence mark while it simulates.  A completed
     /// miss lands in the `catalog` and its spent checkpoint is removed;
     /// the outcome vector is bit-identical to an uncached
-    /// [`ScenarioGrid::run_batched`] (snapshot → restore → run equals
+    /// [`ScenarioGrid::run_with`] (snapshot → restore → run equals
     /// the uninterrupted run, bit for bit — `tests/checkpoint.rs`).
     ///
     /// `kill_at: Some(k)` is the CLI's simulated mid-point crash: each
@@ -704,9 +706,8 @@ impl ScenarioGrid {
     /// into [`CachedSweep::pending`], leaving its latest checkpoint on
     /// disk for a later call with `kill_at: None` to finish from.
     ///
-    /// Misses run on the generic pool one point per work item (a
-    /// checkpointed run owns its own snapshot schedule, so points are
-    /// not replica-batched; warm resumes make up the difference).
+    /// Misses run on the generic pool one point per work item, each on
+    /// its own snapshot schedule.
     ///
     /// # Errors
     ///

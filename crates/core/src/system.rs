@@ -496,21 +496,9 @@ impl MultichipSystem {
         true
     }
 
-    /// `true` when the engine's masked fast-stepping path
-    /// ([`Network::step_fast`]) covers this system's switches (every
-    /// switch fits the 128-bit VC masks).  All paper-scale
-    /// configurations qualify; [`crate::replica::ReplicaBatch`] falls
-    /// back to the reference stepper when this is `false`.
-    pub fn supports_fast_step(&self) -> bool {
-        self.net.supports_fast_step()
-    }
-
     /// One simulation cycle: inject due replies, step the engine, stage
     /// memory arrivals into the controllers, and step every controller.
-    /// `fast` selects [`Network::step_fast`] — decision-identical to
-    /// [`Network::step`] (pinned by the `fast_step` differential suite),
-    /// so the flag changes wall-clock only, never the outcome.
-    fn step_cycle(&mut self, fast: bool) {
+    fn step_cycle(&mut self) {
         let now = self.net.now();
         // Replies whose stack access completed become network packets.
         while let Some(&r) = self.pending_replies.peek() {
@@ -523,11 +511,7 @@ impl MultichipSystem {
                 .inject(PacketDesc::new(src, r.requester, r.flits, now));
             self.replies_injected += 1;
         }
-        if fast {
-            self.net.step_fast();
-        } else {
-            self.net.step();
-        }
+        self.net.step();
         let t = self.net.now();
         // Arrived read requests draw their address from the stack's
         // stream (pure function of the per-stack request ordinal, so
@@ -769,7 +753,7 @@ impl MultichipSystem {
     ) -> Result<u64, CoreError> {
         let stop = stop.min(self.run_total_cycles());
         while cycle < stop {
-            cycle = self.run_iteration(workload, cycle, false)?;
+            cycle = self.run_iteration(workload, cycle)?;
         }
         Ok(cycle)
     }
@@ -786,14 +770,10 @@ impl MultichipSystem {
     /// sweeps and the fast-forward gate — factored out so
     /// [`crate::replica::ReplicaBatch`] can interleave many independent
     /// runs while each lane observes exactly the solo `run` schedule.
-    ///
-    /// `fast` forwards to [`Network::step_fast`]; see
-    /// [`MultichipSystem::supports_fast_step`].
     pub(crate) fn run_iteration(
         &mut self,
         workload: &mut dyn Workload,
         mut cycle: u64,
-        fast: bool,
     ) -> Result<u64, CoreError> {
         let total = self.run_total_cycles();
         if cycle == self.config.warmup_cycles {
@@ -802,7 +782,7 @@ impl MultichipSystem {
         for e in workload.generate(cycle) {
             self.inject_event(&e);
         }
-        self.step_cycle(fast);
+        self.step_cycle();
         if self.net.is_stalled(self.config.stall_threshold) {
             return Err(CoreError::Stalled { cycle });
         }
@@ -951,7 +931,7 @@ impl MultichipSystem {
                     return;
                 }
             }
-            self.step_cycle(false);
+            self.step_cycle();
             left -= 1;
         }
     }

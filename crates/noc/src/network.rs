@@ -1,14 +1,18 @@
 //! The network: switches + links + radios stepped one cycle at a time.
 //!
-//! Two stepping paths advance the same state machine:
+//! [`Network::step`] advances the state machine one cycle through one
+//! of two pipelines, chosen once at construction:
 //!
-//! * [`Network::step`] — the reference engine: active-set sweeps + sorts
+//! * the masked pipeline, whenever every switch fits the 128-bit VC
+//!   masks (every paper configuration): word-bitset active sets
+//!   (ascending bit iteration is sorted for free), fused mask-driven
+//!   switch phases, lazy link-bandwidth queries;
+//! * [`Network::step_reference`] otherwise: active-set sweeps + sorts
 //!   per cycle, the switches' three-pass phases.
-//! * [`Network::step_fast`] — the batch engine's inner step: word-bitset
-//!   active sets (ascending bit iteration is sorted for free), fused
-//!   mask-driven switch phases, lazy link-bandwidth queries.  Decision-
-//!   identical to `step` — same grants, same moves, same meter order,
-//!   bit for bit (pinned by `tests/fast_step.rs`).
+//!
+//! The two are decision-identical — same grants, same moves, same
+//! meter order, bit for bit (pinned by `tests/fast_step.rs` and the
+//! golden corpus) — so the choice changes wall-clock only.
 
 use serde::{Deserialize, Serialize, Value};
 use wimnet_energy::{ChargeBatch, Energy, EnergyCategory, EnergyMeter, EnergyModel, Power};
@@ -40,6 +44,17 @@ fn set_bit(words: &mut [u64], i: usize) {
 #[inline]
 fn clear_bit(words: &mut [u64], i: usize) {
     words[i >> 6] &= !(1u64 << (i & 63));
+}
+
+/// Set-bit indices of a word bitset, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors((word != 0).then_some(word), |&b| {
+            let rest = b & (b - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |b| (w << 6) + b.trailing_zeros() as usize)
+    })
 }
 
 /// Words needed for an `n`-bit bitset.
@@ -215,14 +230,17 @@ pub struct NetworkState {
     /// Last cycle any flit moved.
     pub last_progress: u64,
     /// Active-set membership, in insertion order (restoring by replayed
-    /// insertion reproduces the dense lists exactly).
+    /// insertion reproduces the dense lists exactly).  Only the
+    /// reference pipeline prunes the dense lists; under the masked one
+    /// they are conservative supersets.
     pub active_links: Vec<usize>,
     /// Active switches, in insertion order.
     pub active_switches: Vec<usize>,
     /// Active injectors, in insertion order.
     pub active_injectors: Vec<usize>,
-    /// Word-bitset mirror of the link active set (conservative superset
-    /// under legacy stepping — captured verbatim).
+    /// Word-bitset mirror of the link active set (pruned only by the
+    /// masked pipeline, a conservative superset under the reference
+    /// one — captured verbatim).
     pub links_mask: Vec<u64>,
     /// Word-bitset mirror of the switch active set.
     pub switch_mask: Vec<u64>,
@@ -307,15 +325,20 @@ pub struct Network {
     active_links: ActiveSet,
     active_switches: ActiveSet,
     active_injectors: ActiveSet,
-    // --- Word-bitset mirrors of the active sets, used by `step_fast`:
-    // ascending bit iteration replaces the per-cycle sweep + sort.
-    // Every insert site sets both representations; only the fast path
-    // clears bits (exact sweep at visit time), so under legacy stepping
-    // the bitsets remain conservative supersets — the invariant the
-    // fast sweep needs — and the paths can be mixed freely.
+    // --- Word-bitset mirrors of the active sets, used by the masked
+    // pipeline: ascending bit iteration replaces the per-cycle sweep +
+    // sort.  Every insert site sets both representations; each pipeline
+    // prunes only its own (the masked one clears bits at visit time,
+    // the reference one sweeps the dense lists), so the other
+    // representation stays a conservative superset — the invariant
+    // either sweep needs — and the pipelines can be mixed freely.
     links_mask: Vec<u64>,
     switch_mask: Vec<u64>,
     inj_mask: Vec<u64>,
+    /// Every switch fits the 128-bit VC masks ([`Switch::supports_mask`]),
+    /// so [`Network::step`] runs the masked pipeline; fixed at
+    /// construction.
+    masked: bool,
     // --- Preallocated per-cycle scratch: the steady-state step() makes
     // no heap allocations.
     scratch_order: Vec<usize>,
@@ -689,6 +712,7 @@ impl Network {
             links_mask,
             switch_mask: vec![0u64; words_for(n)],
             inj_mask: vec![0u64; words_for(n)],
+            masked: switches.iter().all(Switch::supports_mask),
             scratch_order: Vec::with_capacity(n.max(links.len())),
             scratch_arrivals: Vec::new(),
             scratch_grants: Vec::new(),
@@ -792,7 +816,7 @@ impl Network {
         &self.cfg
     }
 
-    /// The current cycle (number of completed [`Network::step`] calls).
+    /// The current cycle (completed steps plus fast-forwarded cycles).
     pub fn now(&self) -> u64 {
         self.now
     }
@@ -972,12 +996,20 @@ impl Network {
         self.flits_in_network == 0
             && self.backlog_flits == 0
             && self.radio_backlog_flits == 0
-            && self
-                .active_links
-                .members()
-                .iter()
-                .all(|&li| self.links[li].is_quiescent(self.flight.is_empty(li)))
+            && self.links_quiescent()
             && self.media.iter().all(|m| m.is_quiescent())
+    }
+
+    /// `true` when no link has flits on the wire or unsaturated credit.
+    /// Scans the active-link representation the chosen pipeline prunes;
+    /// the other one is only a superset.
+    fn links_quiescent(&self) -> bool {
+        let quiescent = |li: usize| self.links[li].is_quiescent(self.flight.is_empty(li));
+        if self.masked {
+            set_bits(&self.links_mask).all(quiescent)
+        } else {
+            self.active_links.members().iter().all(|&li| quiescent(li))
+        }
     }
 
     /// Flits currently buffered in radio TX FIFOs (O(1): maintained on
@@ -1078,7 +1110,30 @@ impl Network {
     /// switches with buffered flits, endpoints with source backlog.
     /// Quiescent components are skipped entirely — provably a no-op for
     /// each (see the `active` module and docs/engine.md).
+    ///
+    /// Runs the masked pipeline when every switch fits the 128-bit VC
+    /// masks (all paper configurations), and
+    /// [`Network::step_reference`] otherwise; the two are
+    /// decision-identical, bit for bit.
+    #[inline]
     pub fn step(&mut self) {
+        if self.masked {
+            self.step_masked();
+        } else {
+            self.step_reference();
+        }
+    }
+
+    /// Advances the network by one clock cycle on the reference
+    /// pipeline: the dense active lists are swept and sorted every
+    /// cycle and the switches run their three-pass phases
+    /// ([`Switch::alloc_phase`], [`Switch::st_phase`]).
+    ///
+    /// [`Network::step`] takes this path only for switches larger than
+    /// the 128-bit VC masks; it stays public as the differential oracle
+    /// of `tests/fast_step.rs`.  Both pipelines may be freely mixed on
+    /// one network.
+    pub fn step_reference(&mut self) {
         let now = self.now;
         let mut order = std::mem::take(&mut self.scratch_order);
 
@@ -1194,8 +1249,8 @@ impl Network {
     }
 
     /// Routes one winning ST movement: meter charges, upstream credit,
-    /// ejection/radio/link delivery.  Shared verbatim by [`Network::step`]
-    /// and [`Network::step_fast`] (`pb` = `port_base[si]`).
+    /// ejection/radio/link delivery.  Shared verbatim by both pipelines
+    /// (`pb` = `port_base[si]`).
     fn apply_move(&mut self, si: usize, pb: usize, m: &StMove, now: u64) {
         self.last_progress = now;
         // Per-flit-hop energy: log the port's precomputed charge
@@ -1338,35 +1393,32 @@ impl Network {
         self.now = now + 1;
     }
 
-    /// `true` when every switch fits the fast path's 128-bit VC masks
-    /// (ports × vcs ≤ 128) — the [`Network::step_fast`] precondition.
-    /// The paper configurations (8 VCs, ≤ 8 ports) all qualify; callers
-    /// fall back to [`Network::step`] otherwise.
-    pub fn supports_fast_step(&self) -> bool {
-        self.switches.iter().all(Switch::supports_mask)
+    /// `true` when every switch fits the 128-bit VC masks (ports × vcs
+    /// ≤ 128), so [`Network::step`] runs the masked pipeline.  The paper
+    /// configurations (8 VCs, ≤ 8 ports) all qualify; larger switches
+    /// step through [`Network::step_reference`].
+    pub fn steps_masked(&self) -> bool {
+        self.masked
     }
 
-    /// Advances the network by one clock cycle on the fast path.
+    /// One cycle on the masked pipeline — [`Network::step`]'s path when
+    /// [`Network::steps_masked`] holds.
     ///
-    /// Decision-identical to [`Network::step`] — same grants, moves,
-    /// arrival order, statistics, and bit-identical energy — but driven
-    /// by word bitsets instead of swept-and-sorted active lists, with the
-    /// switches' fused mask phases ([`Switch::alloc_phase_fast`],
-    /// [`Switch::st_phase_fast`]) and lazy link-bandwidth queries.  The
-    /// replica-batch engine steps every lane through this path; the
-    /// differential suite in `tests/fast_step.rs` pins the equivalence
-    /// cycle by cycle.
-    ///
-    /// Requires [`Network::supports_fast_step`] (debug-asserted).  The
-    /// two paths may be freely mixed on one network: shared insert sites
-    /// maintain the bitsets as conservative supersets, and only this
-    /// path clears them (exact sweep at visit time).
-    pub fn step_fast(&mut self) {
-        debug_assert!(self.supports_fast_step());
+    /// Decision-identical to [`Network::step_reference`] — same grants,
+    /// moves, arrival order, statistics, and bit-identical energy — but
+    /// driven by word bitsets instead of swept-and-sorted active lists,
+    /// with the switches' fused mask phases
+    /// ([`Switch::alloc_phase_fast`], [`Switch::st_phase_fast`]) and
+    /// lazy link-bandwidth queries.  The differential suite in
+    /// `tests/fast_step.rs` pins the equivalence cycle by cycle.  Shared
+    /// insert sites maintain the bitsets as conservative supersets, and
+    /// only this path clears them (exact sweep at visit time).
+    fn step_masked(&mut self) {
+        debug_assert!(self.masked);
         let now = self.now;
 
-        // Phase 0: links, ascending bit order (= the legacy sorted walk).
-        // Quiescent links drop out of the bitset exactly where the legacy
+        // Phase 0: links, ascending bit order (= the reference sorted walk).
+        // Quiescent links drop out of the bitset exactly where the reference
         // sweep removed them from the active set.
         let mut arrivals = std::mem::take(&mut self.scratch_arrivals);
         for w in 0..self.links_mask.len() {
@@ -1389,7 +1441,7 @@ impl Network {
                     self.active_switches.insert(sw);
                     set_bit(&mut self.switch_mask, sw);
                 }
-                // Observability hook, mirroring the legacy phase 0.
+                // Observability hook, mirroring the reference phase 0.
                 if let Some(t) = &mut self.telemetry {
                     let lc = &mut t.links[li];
                     lc.busy_cycles += 1;
@@ -1405,7 +1457,7 @@ impl Network {
         self.pump_injection_fast();
 
         // Phase 2/3: RC + VA on switches with buffered flits, ascending
-        // bit order; empty switches drop out (the legacy sweep).
+        // bit order; empty switches drop out (the reference sweep).
         let mut order = std::mem::take(&mut self.scratch_order);
         order.clear();
         for w in 0..self.switch_mask.len() {
@@ -1438,7 +1490,7 @@ impl Network {
         self.scratch_grants = grants;
         order.retain(|&si| si != usize::MAX);
 
-        // Phase 4: SA/ST in the same rotated order as the legacy sort —
+        // Phase 4: SA/ST in the same rotated order as the reference sort —
         // the ascending survivor list rotated at the first index ≥
         // offset.  Link bandwidth is queried lazily inside the switch
         // phase, only for ports with an actual candidate.
@@ -1480,8 +1532,8 @@ impl Network {
         self.finish_cycle(now);
     }
 
-    /// Phase 1 of [`Network::step_fast`]: injection over the endpoint
-    /// bitset, ascending (= the legacy sorted walk); drained sources
+    /// Phase 1 of the masked pipeline: injection over the endpoint
+    /// bitset, ascending (= the reference sorted walk); drained sources
     /// drop out at visit time.
     fn pump_injection_fast(&mut self) {
         for w in 0..self.inj_mask.len() {

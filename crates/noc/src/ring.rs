@@ -130,8 +130,11 @@ impl<T: Copy> RingSlab<T> {
     }
 
     /// Appends to the back of a lane, doubling the lane's capacity first
-    /// when it is full (rebuilds the slab; amortised O(1), never on the
-    /// steady-state path once lanes reach their working size).
+    /// when it is full (in place: the lane is straightened and the new
+    /// slots are spliced in after it, so a doubling costs O(that lane)
+    /// element moves plus one memmove of the later lanes; amortised
+    /// O(1), never on the steady-state path once lanes reach their
+    /// working size).
     #[inline]
     pub fn push_back_growing(&mut self, lane: usize, value: T) {
         if self.free_space(lane) == 0 {
@@ -169,10 +172,8 @@ impl<T: Copy> RingSlab<T> {
         (contents, caps)
     }
 
-    /// Rebuilds the slab from a [`RingSlab::state`] snapshot — the same
-    /// rebuild [`RingSlab::push_back_growing`] performs on growth, so
-    /// heads normalise to zero, which is invisible through the FIFO
-    /// interface.
+    /// Rebuilds the slab from a [`RingSlab::state`] snapshot.  Heads
+    /// normalise to zero, which is invisible through the FIFO interface.
     ///
     /// # Panics
     ///
@@ -190,18 +191,33 @@ impl<T: Copy> RingSlab<T> {
         *self = next;
     }
 
-    /// Doubles `lane`'s capacity by rebuilding the slab (contents and
-    /// order of every lane are preserved).
+    /// Doubles `lane`'s capacity (at least 4 slots) in place: rotates
+    /// the lane's span so its front sits at the span start, splices the
+    /// extra fill slots in right after it, and shifts the CSR bounds of
+    /// the later lanes.  Contents and order of every lane are
+    /// preserved; other lanes keep their heads and capacities.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the grown slab would exceed `u32::MAX` slots.
     fn grow_lane(&mut self, lane: usize) {
-        let mut caps: Vec<usize> = (0..self.lanes()).map(|l| self.capacity(l)).collect();
-        caps[lane] = (caps[lane] * 2).max(4);
-        let mut next = RingSlab::with_capacities(&caps, self.fill);
-        for l in 0..self.lanes() {
-            for i in 0..self.len(l) {
-                next.push_back(l, self.slots[self.slot(l, i)]);
-            }
+        let start = self.base[lane] as usize;
+        let cap = self.capacity(lane);
+        let extra = (cap * 2).max(4) - cap;
+        self.slots[start..start + cap].rotate_left(self.head[lane] as usize);
+        self.head[lane] = 0;
+        let end = start + cap;
+        let tail = self.slots.len();
+        let extra32 = u32::try_from(extra).expect("lane capacity fits u32");
+        self.base[self.lanes()]
+            .checked_add(extra32)
+            .expect("ring slab fits u32 slots");
+        self.slots.resize(tail + extra, self.fill);
+        self.slots.copy_within(end..tail, end + extra);
+        self.slots[end..end + extra].fill(self.fill);
+        for b in &mut self.base[lane + 1..] {
+            *b += extra32;
         }
-        *self = next;
     }
 }
 
@@ -264,6 +280,102 @@ mod tests {
         assert_eq!(r.iter(1).collect::<Vec<_>>(), vec![7, 8]);
         assert!(r.capacity(0) >= 20);
         assert_eq!(r.capacity(1), 2, "only the full lane grew");
+    }
+
+    /// The growth the slab used to perform: a fresh slab with `lane`'s
+    /// capacity doubled and every lane re-pushed front to back.  In-place
+    /// growth must be indistinguishable from it through `state()`.
+    fn rebuilt_with_grown_lane(r: &RingSlab<u32>, lane: usize) -> RingSlab<u32> {
+        let mut caps: Vec<usize> = (0..r.lanes()).map(|l| r.capacity(l)).collect();
+        caps[lane] = (caps[lane] * 2).max(4);
+        let mut next = RingSlab::with_capacities(&caps, 0);
+        for l in 0..r.lanes() {
+            for v in r.iter(l) {
+                next.push_back(l, v);
+            }
+        }
+        next
+    }
+
+    /// Three lanes, every one holding data with a wrapped head; lane 1
+    /// is full.
+    fn wrapped_three_lanes() -> RingSlab<u32> {
+        let mut r = RingSlab::with_capacities(&[3, 4, 5], 0u32);
+        for (lane, cap) in [(0usize, 3u32), (1, 4), (2, 5)] {
+            let base = 100 * lane as u32;
+            for v in 0..cap {
+                r.push_back(lane, base + v);
+            }
+            r.pop_front(lane);
+            r.pop_front(lane);
+            r.push_back(lane, base + cap);
+        }
+        r.push_back(1, 105);
+        r
+    }
+
+    #[test]
+    fn growing_a_wrapped_middle_lane_matches_the_full_rebuild() {
+        let mut r = wrapped_three_lanes();
+        assert_eq!(r.free_space(1), 0, "lane 1 starts full");
+        assert_ne!(r.head[1], 0, "lane 1 starts wrapped");
+        let before: Vec<Vec<u32>> = (0..3).map(|l| r.iter(l).collect()).collect();
+        let mut expected = rebuilt_with_grown_lane(&r, 1);
+        expected.push_back(1, 106);
+
+        r.push_back_growing(1, 106);
+
+        assert_eq!(r.state(), expected.state());
+        assert_eq!(r.iter(0).collect::<Vec<_>>(), before[0]);
+        assert_eq!(r.iter(2).collect::<Vec<_>>(), before[2]);
+        assert_eq!(r.iter(1).collect::<Vec<_>>(), vec![102, 103, 104, 105, 106]);
+        assert_eq!((r.capacity(0), r.capacity(1), r.capacity(2)), (3, 8, 5));
+        // The neighbours' wrapped heads survive untouched and keep
+        // wrapping correctly.
+        for (lane, base) in [(0usize, 0u32), (2, 200)] {
+            assert_eq!(r.pop_front(lane), expected.pop_front(lane));
+            r.push_back(lane, base + 50);
+            expected.push_back(lane, base + 50);
+        }
+        assert_eq!(r.state(), expected.state());
+    }
+
+    #[test]
+    fn every_lane_grows_like_the_full_rebuild() {
+        for lane in 0..3 {
+            let mut r = wrapped_three_lanes();
+            let mut expected = r.clone();
+            for v in 0..40 {
+                if expected.free_space(lane) == 0 {
+                    expected = rebuilt_with_grown_lane(&expected, lane);
+                }
+                expected.push_back(lane, 1000 + v);
+                r.push_back_growing(lane, 1000 + v);
+                assert_eq!(r.state(), expected.state(), "lane {lane} after push {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn restore_round_trips_after_growth() {
+        let mut r = wrapped_three_lanes();
+        for v in 0..9 {
+            r.push_back_growing(1, 500 + v);
+        }
+        let (contents, caps) = r.state();
+        let mut back = RingSlab::uniform(3, 1, 0u32);
+        back.restore(&contents, &caps);
+        assert_eq!(back.state(), (contents, caps));
+        // Both continue identically, growth included.
+        for v in 0..30 {
+            let lane = v as usize % 3;
+            r.push_back_growing(lane, v);
+            back.push_back_growing(lane, v);
+            if v % 4 == 0 {
+                assert_eq!(r.pop_front(lane), back.pop_front(lane));
+            }
+        }
+        assert_eq!(r.state(), back.state());
     }
 
     #[test]

@@ -148,10 +148,10 @@ pub struct Switch {
     /// iteration order is immaterial (pre-passes are commutative, and
     /// grant priority is imposed by the round-robin arbiters).
     busy: ActiveSet,
-    /// Bitmask mirror of `busy` for the batch engine's fused phases
+    /// Bitmask mirror of `busy` for the masked pipeline's fused phases
     /// (bit `flat` set ⇔ the VC *may* hold work): set on delivery, and
     /// swept/cleared only by `alloc_phase_fast`/`st_phase_fast`.  Under
-    /// the legacy phases the mask is a conservative superset (never
+    /// the reference phases the mask is a conservative superset (never
     /// missing a busy VC — deliveries always set it), which is exactly
     /// the invariant the fast sweep needs, so the two stepping paths can
     /// be mixed freely.  Only maintained while `ports × vcs <= 128`
@@ -621,13 +621,13 @@ impl Switch {
     /// Fused, mask-driven [`Switch::alloc_phase`]: one pass over the
     /// busy-mask bits performs the sweep, RC, and the VA pre-pass
     /// simultaneously, and VA arbitration runs bit-parallel via
-    /// [`RoundRobin::grant_masked`].  Decision-identical to the legacy
+    /// [`RoundRobin::grant_masked`].  Decision-identical to the reference
     /// phase — same stages, same grants, same grant order, same arbiter
-    /// pointer evolution — the replica-batch differential suite pins
-    /// this (`tests/fast_step.rs`; see `docs/engine.md`, "Replica
-    /// batching").
+    /// pointer evolution — the differential suite pins this
+    /// (`tests/fast_step.rs`; see `docs/engine.md`, "One stepper,
+    /// chosen at construction").
     ///
-    /// Requires [`Switch::supports_mask`].  The legacy `busy` active set
+    /// Requires [`Switch::supports_mask`].  The dense `busy` active set
     /// is left un-swept (it remains a superset, which `alloc_phase`
     /// tolerates).
     pub fn alloc_phase_fast(&mut self, now: u64, lut: &[RouteEntry], grants: &mut Vec<VaGrant>) {
@@ -672,7 +672,7 @@ impl Switch {
         if !any_request {
             return;
         }
-        // VA: the request mask fully encodes the legacy predicate
+        // VA: the request mask fully encodes the reference predicate
         // (Routed at this port, ready, not yet granted — grants clear
         // their bit), so arbitration needs no residual check.
         for out_port in 0..ports {
@@ -717,7 +717,7 @@ impl Switch {
     /// only residual predicate), and link bandwidth is queried lazily —
     /// `avail(port)` is called only for ports that actually have an
     /// active candidate, so idle links cost nothing here.
-    /// Decision-identical to the legacy phase (same winners, same move
+    /// Decision-identical to the reference phase (same winners, same move
     /// order, same band-budget draws).  Requires
     /// [`Switch::supports_mask`].
     pub fn st_phase_fast(

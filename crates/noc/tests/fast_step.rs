@@ -1,12 +1,14 @@
-//! Differential suite for the fast stepping path: two identically
+//! Differential suite for the masked stepping pipeline: two identically
 //! built networks receive identical traffic; one advances through
-//! [`Network::step`] (the reference engine), the other through
-//! [`Network::step_fast`] (the replica-batch inner step).  After every
-//! cycle the complete observable state must match — statistics, the
-//! energy meter (bit-identical floats via `PartialEq` on the meter),
-//! arrival lists, in-flight counters — across all three architectures,
-//! both wireless realisations, and under a mixed step/step_fast
-//! schedule (the conservative-superset bitset invariant).
+//! [`Network::step_reference`] (the reference pipeline), the other
+//! through [`Network::step`] (the masked pipeline every paper
+//! configuration takes).  After every cycle the complete observable
+//! state must match — statistics, the energy meter (bit-identical
+//! floats via `PartialEq` on the meter), arrival lists, in-flight
+//! counters — across all three architectures, both wireless
+//! realisations, and under a mixed schedule (the conservative-superset
+//! bitset invariant).  Switches too large for the masks fall back to
+//! the reference pipeline.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -117,12 +119,12 @@ fn run_differential(arch: Architecture, cfg: NocConfig, medium: bool, seed: u64)
         reference.attach_medium(Box::new(OneFlitMac));
         fast.attach_medium(Box::new(OneFlitMac));
     }
-    assert!(fast.supports_fast_step(), "paper configs fit the 128-bit masks");
+    assert!(fast.steps_masked(), "paper configs fit the 128-bit masks");
     inject_random(&layout, &mut reference, seed, 40);
     inject_random(&layout, &mut fast, seed, 40);
     for cycle in 0..600u64 {
-        reference.step();
-        fast.step_fast();
+        reference.step_reference();
+        fast.step();
         fast.assert_switch_invariants();
         assert_same(&mut reference, &mut fast, cycle);
     }
@@ -156,10 +158,10 @@ fn fast_step_matches_reference_wireless_medium() {
     run_differential(Architecture::Wireless, NocConfig::paper(), true, 0xD00D);
 }
 
-/// The two paths may be mixed freely on one network: the word bitsets
-/// are maintained as conservative supersets at every shared insert site
-/// and swept only by the fast path, so an arbitrary interleaving remains
-/// decision-identical to the pure reference engine.
+/// The two pipelines may be mixed freely on one network: the word
+/// bitsets are maintained as conservative supersets at every shared
+/// insert site and swept only by the masked pipeline, so an arbitrary
+/// interleaving remains decision-identical to the pure reference one.
 #[test]
 fn mixed_stepping_schedule_matches_reference() {
     let cfg = NocConfig::paper();
@@ -169,20 +171,20 @@ fn mixed_stepping_schedule_matches_reference() {
     inject_random(&layout, &mut mixed, 0x5EED, 40);
     let mut rng = SmallRng::seed_from_u64(9);
     for cycle in 0..600u64 {
-        reference.step();
+        reference.step_reference();
         if rng.gen_bool(0.5) {
-            mixed.step_fast();
-        } else {
             mixed.step();
+        } else {
+            mixed.step_reference();
         }
         mixed.assert_switch_invariants();
         assert_same(&mut reference, &mut mixed, cycle);
     }
 }
 
-/// Fast-forward interacts identically with both paths: run to idle on
-/// the fast path, skip, and resume — totals must match a reference that
-/// did the same with legacy steps.
+/// Fast-forward interacts identically with both pipelines: run to idle
+/// on the masked one, skip, and resume — totals must match a reference
+/// that did the same with reference steps.
 #[test]
 fn fast_forward_composes_with_fast_stepping() {
     let cfg = NocConfig::paper();
@@ -193,8 +195,8 @@ fn fast_forward_composes_with_fast_stepping() {
     reference.inject(PacketDesc::new(src, dst, 8, 0));
     fast.inject(PacketDesc::new(src, dst, 8, 0));
     for _ in 0..200u64 {
-        reference.step();
-        fast.step_fast();
+        reference.step_reference();
+        fast.step();
     }
     assert!(reference.is_idle() && fast.is_idle(), "short packet drained");
     assert_eq!(reference.fast_forward(1000), 1000);
@@ -202,9 +204,30 @@ fn fast_forward_composes_with_fast_stepping() {
     reference.inject(PacketDesc::new(dst, src, 8, 0));
     fast.inject(PacketDesc::new(dst, src, 8, 0));
     for cycle in 0..200u64 {
-        reference.step();
-        fast.step_fast();
+        reference.step_reference();
+        fast.step();
         assert_same(&mut reference, &mut fast, cycle);
     }
     assert_eq!(reference.fast_forwarded_cycles(), fast.fast_forwarded_cycles());
+}
+
+/// Switches wider than the 128-bit VC masks (here 32 VCs on 5+ ports)
+/// make `step` take the reference pipeline, which still carries every
+/// packet and reaches idle.
+#[test]
+fn over_wide_switches_step_through_the_reference_pipeline() {
+    let cfg = NocConfig { vcs: 32, ..NocConfig::paper() };
+    let (layout, mut net) = build(Architecture::Substrate, cfg);
+    assert!(!net.steps_masked(), "32 VCs x 5+ ports exceed the 128-bit masks");
+    inject_random(&layout, &mut net, 0xF00D, 40);
+    let injected = net.stats().packets_injected();
+    assert!(net.drain(20_000), "over-wide network drains");
+    assert_eq!(net.stats().packets_delivered(), injected);
+    for _ in 0..1_000 {
+        if net.is_idle() {
+            break;
+        }
+        net.step();
+    }
+    assert!(net.is_idle(), "link credit settles once the traffic is gone");
 }
