@@ -18,10 +18,11 @@
 //! `replica_batch` suite).
 //!
 //! The batch buys nothing over solo runs any more: every run, solo or
-//! batched, steps through the engine's masked pipeline, and solo runs
-//! on the work-stealing pool ([`crate::sweeps::run_pool`]) are faster
-//! at equal threads.  The batch is kept only until its callers move to
-//! the solo pool.  Fast-forward stays per-lane: an
+//! batched, steps through the engine's masked pipeline, so solo runs
+//! on the work-stealing pool ([`crate::sweeps::run_pool`]) match the
+//! batch on one thread and beat it on more, where a chunk-wide batch
+//! keeps its points on one worker.  The batch is kept only until its
+//! callers move to the solo pool.  Fast-forward stays per-lane: an
 //! idle lane jumps its **full** delta immediately (not clamped to the
 //! batch's minimum next-event frontier), which both preserves the solo
 //! `fast_forwarded_cycles` accounting bit-for-bit and lets drained

@@ -77,8 +77,9 @@ pub fn run_pool(
 /// whole chunk as **one [`crate::replica::ReplicaBatch`]**: the worker advances the
 /// chunk's simulations in lockstep instead of running them to
 /// completion one after another.  Every run steps through the same
-/// masked pipeline either way, and solo runs on [`run_pool`] are
-/// faster at equal threads.
+/// masked pipeline either way, so solo runs on [`run_pool`] match the
+/// batch on one thread and beat it on more, where a chunk-wide batch
+/// keeps its points on one worker.
 ///
 /// The contract is unchanged: per-lane results are exactly what each
 /// `experiments[i].run()` returns (bit-identical outcomes, per-lane
