@@ -1,11 +1,28 @@
 //! Offline shim of `serde_json` over the `serde` shim's [`Value`] model:
 //! `to_string`, `to_string_pretty` and `from_str`, with a small
 //! recursive-descent JSON parser.
+//!
+//! The parser treats its input as untrusted (catalog and checkpoint
+//! files are read back from disk): nesting deeper than [`MAX_DEPTH`],
+//! number tokens longer than [`MAX_NUMBER_LEN`] and string tokens
+//! longer than [`MAX_STRING_LEN`] are errors, so hostile text is
+//! rejected instead of overflowing the stack.
 
 #![forbid(unsafe_code)]
 
 pub use serde::Error;
 use serde::{Deserialize, Serialize, Value};
+
+/// Deepest array/object nesting the parser accepts.  The parser
+/// recurses once per level, so this bounds its stack use.
+pub const MAX_DEPTH: usize = 128;
+
+/// Longest number token accepted, in bytes.  Room for every finite
+/// `f64` as the writer prints it (no exponent: up to ~330 digits).
+pub const MAX_NUMBER_LEN: usize = 512;
+
+/// Longest string token accepted, in bytes of JSON text.
+pub const MAX_STRING_LEN: usize = 1 << 20;
 
 /// Serializes `value` to compact JSON.
 ///
@@ -45,7 +62,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 ///
 /// Malformed JSON.
 pub fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -154,6 +171,8 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -193,8 +212,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
@@ -202,6 +221,21 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(Error::msg(format!("unexpected character at byte {}", self.pos))),
         }
+    }
+
+    /// Parses one array or object one nesting level down, refusing to
+    /// go past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::msg(format!(
+                "JSON nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, Error> {
@@ -258,9 +292,15 @@ impl<'a> Parser<'a> {
     }
 
     fn string(&mut self) -> Result<String, Error> {
+        let start = self.pos;
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            if self.pos - start > MAX_STRING_LEN {
+                return Err(Error::msg(format!(
+                    "string at byte {start} longer than {MAX_STRING_LEN} bytes"
+                )));
+            }
             let Some(c) = self.peek() else {
                 return Err(Error::msg("unterminated string"));
             };
@@ -346,6 +386,11 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
+        if self.pos - start > MAX_NUMBER_LEN {
+            return Err(Error::msg(format!(
+                "number at byte {start} longer than {MAX_NUMBER_LEN} bytes"
+            )));
+        }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| Error::msg("invalid number"))?;
         if is_float {
@@ -411,6 +456,42 @@ mod tests {
                 other => panic!("{other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn extreme_floats_fit_the_number_cap() {
+        for f in [f64::MAX, f64::MIN, f64::MIN_POSITIVE, 5e-324, -2.2250738585072014e-308] {
+            let mut s = String::new();
+            write_value(&mut s, &Value::Float(f), None, 0);
+            assert!(s.len() <= MAX_NUMBER_LEN, "{} bytes", s.len());
+            assert_eq!(parse_value(&s).unwrap(), Value::Float(f), "{s}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_fatal() {
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse_value(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse_value(&nest(MAX_DEPTH + 1)).is_err());
+        // Deep enough to overflow any thread stack without the cap.
+        let err = parse_value(&nest(100_000)).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(parse_value(&objects).is_err());
+        // The limit is on open levels, not on total containers.
+        let wide = format!("[{}]", vec!["[[]]"; 10_000].join(","));
+        assert!(parse_value(&wide).is_ok());
+    }
+
+    #[test]
+    fn oversized_tokens_are_rejected() {
+        let digits = "9".repeat(MAX_NUMBER_LEN + 1);
+        assert!(parse_value(&digits).is_err());
+        assert!(parse_value(&format!("[0.{digits}]")).is_err());
+        let long = format!("\"{}\"", "x".repeat(MAX_STRING_LEN + 1));
+        assert!(parse_value(&long).is_err());
+        let fits = format!("\"{}\"", "x".repeat(MAX_STRING_LEN - 2));
+        assert!(parse_value(&fits).is_ok());
     }
 
     #[test]

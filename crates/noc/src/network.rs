@@ -5,19 +5,24 @@
 //!
 //! * the masked pipeline, whenever every switch fits the 128-bit VC
 //!   masks (every paper configuration): word-bitset active sets
-//!   (ascending bit iteration is sorted for free), fused mask-driven
-//!   switch phases, lazy link-bandwidth queries;
+//!   (ascending bit iteration is sorted for free), one fused
+//!   RC/VA/SA+ST [`Switch::visit`] per due switch per cycle, lazy
+//!   link-bandwidth queries, and *parking*: a switch whose visit was a
+//!   no-op leaves `switch_mask` until a flit, a credit or link
+//!   bandwidth arrives for it, so `switch_mask` is a due-set hint, not
+//!   the set of non-empty switches;
 //! * [`Network::step_reference`] otherwise: active-set sweeps + sorts
 //!   per cycle, the switches' three-pass phases.
 //!
 //! The two are decision-identical — same grants, same moves, same
 //! meter order, bit for bit (pinned by `tests/fast_step.rs` and the
-//! golden corpus) — so the choice changes wall-clock only.
+//! golden corpus) — so the choice changes wall-clock only.  See
+//! `docs/engine.md`, "One visit per switch, parked when blocked".
 
 use serde::{Deserialize, Serialize, Value};
 use wimnet_energy::{ChargeBatch, Energy, EnergyCategory, EnergyMeter, EnergyModel, Power};
 use wimnet_routing::Routes;
-use wimnet_telemetry::{MacCounters, NetworkTelemetry};
+use wimnet_telemetry::{MacCounters, NetworkTelemetry, SwitchCounters};
 use wimnet_topology::{EdgeKind, MultichipLayout};
 
 use crate::active::ActiveSet;
@@ -60,6 +65,52 @@ fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
 /// Words needed for an `n`-bit bitset.
 fn words_for(n: usize) -> usize {
     n.div_ceil(64)
+}
+
+/// Deterministic counts of the work the stepper did since the network
+/// was built (see [`Network::work_counters`]).  They repeat exactly
+/// for the same scenario, so a regression gate can compare them where
+/// wall-clock is too noisy.  They count this network's own work: they
+/// are not part of [`NetworkState`], so a restored network does not
+/// inherit the counts of the run that wrote the snapshot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounters {
+    /// Switch visits: a fused [`Switch::visit`] on the masked pipeline,
+    /// an `alloc_phase` + `st_phase` pair on the reference one.
+    pub switch_visits: u64,
+    /// Busy-VC mask bits the fused visits walked.
+    pub busy_vc_bits: u64,
+    /// No-op visits after which the switch was parked.
+    pub parks: u64,
+    /// Parked switches made due again by a flit, credit or link
+    /// bandwidth arrival.
+    pub wakes: u64,
+    /// In-place lane doublings of the link-flight and source-queue ring
+    /// slabs.
+    pub slab_regrowths: u64,
+    /// Slots those doublings moved.
+    pub slab_slots_copied: u64,
+}
+
+/// The last visit of a parked switch: its cycle and the flits the
+/// switch buffered (constant until the next visit, since only the
+/// switch's own moves remove flits and any arrival wakes it).
+#[derive(Debug, Clone, Copy)]
+struct Park {
+    cycle: u64,
+    flits: u64,
+}
+
+impl Park {
+    /// Adds the skipped cycles after the park, up to and including
+    /// `last`, to the switch's telemetry counters in closed form: the
+    /// switch held `flits` flits in each of them, exactly what a visit
+    /// per cycle would have added.
+    fn credit(&self, last: u64, counters: &mut SwitchCounters) {
+        let skipped = last - self.cycle;
+        counters.active_cycles += skipped;
+        counters.occupancy_integral += skipped * self.flits;
+    }
 }
 
 /// How wireless edges of the topology are realised by the engine.
@@ -264,6 +315,9 @@ pub struct Network {
     lut: Box<[RouteEntry]>,
     links: Vec<Link>,
     link_dst: Vec<(usize, usize)>,
+    /// Source switch of each link (a parked switch waits on its own
+    /// outgoing links' bandwidth).
+    link_src: Vec<usize>,
     /// Per-switch global-port offsets: switch `si`'s ports occupy global
     /// ids `port_base[si] .. port_base[si + 1]`.  The flat port tables
     /// below are all indexed by global port id, so the run-time layout
@@ -333,8 +387,17 @@ pub struct Network {
     // representation stays a conservative superset — the invariant
     // either sweep needs — and the pipelines can be mixed freely.
     links_mask: Vec<u64>,
+    /// Switches due for a visit.  Parked switches (see `parks`) are
+    /// absent although they hold flits.
     switch_mask: Vec<u64>,
     inj_mask: Vec<u64>,
+    /// Per switch: `Some` from a no-op visit until the switch's next
+    /// visit.  While its `switch_mask` bit is clear the switch is
+    /// parked; a wake event sets the bit, and the visit clears the
+    /// record (settling telemetry for the skipped cycles).
+    parks: Vec<Option<Park>>,
+    /// Visit/park/wake counts behind [`Network::work_counters`].
+    work: WorkCounters,
     /// Every switch fits the 128-bit VC masks ([`Switch::supports_mask`]),
     /// so [`Network::step`] runs the masked pipeline; fixed at
     /// construction.
@@ -425,6 +488,7 @@ impl Network {
         let mut switches = Vec::with_capacity(n);
         let mut links: Vec<Link> = Vec::new();
         let mut link_dst: Vec<(usize, usize)> = Vec::new();
+        let mut link_src: Vec<usize> = Vec::new();
         // edge -> (port at a, port at b) for wired edges.
         let mut port_of_edge: Vec<Option<(usize, usize)>> = vec![None; graph.edge_count()];
 
@@ -553,6 +617,7 @@ impl Network {
                     latency,
                 ));
                 link_dst.push((dst_sw, dst_port));
+                link_src.push(ni);
                 out_link.push(Some(li));
                 band_port.push(e.kind == EdgeKind::Wireless);
                 // The reverse link fills the upstream entry of this
@@ -712,6 +777,8 @@ impl Network {
             links_mask,
             switch_mask: vec![0u64; words_for(n)],
             inj_mask: vec![0u64; words_for(n)],
+            parks: vec![None; n],
+            work: WorkCounters::default(),
             masked: switches.iter().all(Switch::supports_mask),
             scratch_order: Vec::with_capacity(n.max(links.len())),
             scratch_arrivals: Vec::new(),
@@ -725,6 +792,7 @@ impl Network {
             lut: lut.into_boxed_slice(),
             links,
             link_dst,
+            link_src,
             port_base,
             out_link,
             band_port,
@@ -773,6 +841,12 @@ impl Network {
             sample_interval,
             trace,
         )));
+        // Cycles a switch sat parked before the sink existed are not
+        // the sink's to count.
+        let last = self.now.saturating_sub(1);
+        for park in self.parks.iter_mut().flatten() {
+            park.cycle = last;
+        }
         if trace {
             for m in &mut self.media {
                 m.set_trace_enabled(true);
@@ -780,7 +854,9 @@ impl Network {
         }
     }
 
-    /// The live telemetry sink, when enabled.
+    /// The live telemetry sink, when enabled.  Switch counters of
+    /// parked switches are settled on wake and by
+    /// [`Network::finish_telemetry`], so read them after that call.
     pub fn telemetry(&self) -> Option<&NetworkTelemetry> {
         self.telemetry.as_deref()
     }
@@ -789,6 +865,7 @@ impl Network {
     /// into the trace buffer, then hands out the sink for export.
     /// `None` when telemetry was never enabled.
     pub fn finish_telemetry(&mut self) -> Option<&NetworkTelemetry> {
+        self.settle_parks();
         let t = self.telemetry.as_deref_mut()?;
         t.series.finish();
         if let Some(tb) = &mut t.trace {
@@ -873,6 +950,20 @@ impl Network {
         self.meter.clear();
     }
 
+    /// Deterministic work counts since construction: switch visits,
+    /// busy-VC bits walked, parks and wakes, and ring-slab regrowths.
+    /// Not simulated state — absent from [`NetworkState`] and from
+    /// every outcome — but exactly repeatable for the same scenario.
+    pub fn work_counters(&self) -> WorkCounters {
+        let (flight_grows, flight_copied) = self.flight.growth();
+        let (inj_grows, inj_copied) = self.inj_pending.growth();
+        WorkCounters {
+            slab_regrowths: flight_grows + inj_grows,
+            slab_slots_copied: flight_copied + inj_copied,
+            ..self.work
+        }
+    }
+
     /// Flits accepted into the network and not yet delivered (excludes
     /// source-queue backlog).
     pub fn flits_in_flight(&self) -> u64 {
@@ -886,10 +977,22 @@ impl Network {
     /// # Panics
     ///
     /// Panics when any switch's `buffered` counter or busy set disagrees
-    /// with its flit-slab occupancy.
+    /// with its flit-slab occupancy, or when a switch holding flits is
+    /// neither due for a visit nor parked.
     pub fn assert_switch_invariants(&self) {
-        for sw in &self.switches {
+        for (si, sw) in self.switches.iter().enumerate() {
             sw.assert_invariants();
+            // A switch holding flits that is neither due nor parked
+            // would never be visited again.
+            let due = self.switch_mask[si >> 6] >> (si & 63) & 1 == 1;
+            assert!(
+                sw.is_quiescent() || due || self.parks[si].is_some(),
+                "switch {si} holds flits but is neither due nor parked"
+            );
+            assert!(
+                self.parks[si].is_none() || !sw.is_quiescent(),
+                "switch {si} is parked with no flits"
+            );
         }
         // The fast-forward precondition counter must track the radio
         // FIFOs exactly: a drifted counter would either pin `is_idle`
@@ -1160,7 +1263,7 @@ impl Network {
                     self.switches[sw].deliver(port, d.vc, d.flit);
                 }
                 self.active_switches.insert(sw);
-                set_bit(&mut self.switch_mask, sw);
+                self.mark_switch(sw);
             }
             // Observability: the link was active this cycle; a busy
             // cycle that delivered nothing with the credit window
@@ -1191,6 +1294,13 @@ impl Network {
         let n_switches = self.switches.len();
         let mut grants = std::mem::take(&mut self.scratch_grants);
         for &si in &order {
+            // Re-mark every visited switch: the reference pipeline has
+            // no park/wake bookkeeping of its own (phase 0 here skips
+            // the link-bandwidth wake), so a parked switch must be due
+            // again when the masked pipeline resumes.
+            self.unpark(si, now);
+            set_bit(&mut self.switch_mask, si);
+            self.work.switch_visits += 1;
             let lut_row = &self.lut[si * n_switches..(si + 1) * n_switches];
             self.switches[si].alloc_phase(now, lut_row, &mut grants);
             self.resolve_radio_targets(si, &grants);
@@ -1358,13 +1468,63 @@ impl Network {
         self.scratch_view = view;
     }
 
-    /// Phase 6: credits land (one-cycle credit loop).
+    /// Phase 6: credits land (one-cycle credit loop).  A landing credit
+    /// wakes its switch if parked: the switch may have been waiting on
+    /// exactly this output VC.
     fn land_credits(&mut self) {
         for i in 0..self.scratch_credits.len() {
             let (sw, port, vc) = self.scratch_credits[i];
             self.switches[sw].return_credit(port, vc);
+            self.wake_parked(sw);
         }
         self.scratch_credits.clear();
+    }
+
+    /// Makes switch `si` due for a visit this cycle (if called before
+    /// phase 2) or the next; counts a wake when the switch was parked.
+    #[inline]
+    fn mark_switch(&mut self, si: usize) {
+        let (w, bit) = (si >> 6, 1u64 << (si & 63));
+        if self.switch_mask[w] & bit == 0 {
+            self.switch_mask[w] |= bit;
+            if self.parks[si].is_some() {
+                self.work.wakes += 1;
+            }
+        }
+    }
+
+    /// Wakes switch `si` if it is parked (a credit or link bandwidth it
+    /// may be blocked on arrived); otherwise nothing changes.
+    #[inline]
+    fn wake_parked(&mut self, si: usize) {
+        if self.parks[si].is_some() {
+            self.mark_switch(si);
+        }
+    }
+
+    /// Clears switch `si`'s park record at its visit in cycle `now`,
+    /// crediting telemetry with the cycles it skipped.
+    #[inline]
+    fn unpark(&mut self, si: usize, now: u64) {
+        let Some(park) = self.parks[si].take() else { return };
+        if let Some(t) = &mut self.telemetry {
+            park.credit(now - 1, &mut t.switches[si]);
+        }
+    }
+
+    /// Credits telemetry with every parked switch's skipped cycles up
+    /// to the last completed one, and moves the park records there
+    /// (idempotent; run before counters are read or the state is
+    /// replaced).
+    fn settle_parks(&mut self) {
+        let Some(t) = &mut self.telemetry else { return };
+        let last = self.now.saturating_sub(1);
+        for (park, counters) in self.parks.iter_mut().zip(&mut t.switches) {
+            if let Some(park) = park {
+                park.credit(last, counters);
+                park.cycle = last;
+            }
+        }
     }
 
     /// Phase 7: leakage + end-of-cycle bookkeeping.
@@ -1407,12 +1567,15 @@ impl Network {
     /// Decision-identical to [`Network::step_reference`] — same grants,
     /// moves, arrival order, statistics, and bit-identical energy — but
     /// driven by word bitsets instead of swept-and-sorted active lists,
-    /// with the switches' fused mask phases
-    /// ([`Switch::alloc_phase_fast`], [`Switch::st_phase_fast`]) and
-    /// lazy link-bandwidth queries.  The differential suite in
-    /// `tests/fast_step.rs` pins the equivalence cycle by cycle.  Shared
-    /// insert sites maintain the bitsets as conservative supersets, and
-    /// only this path clears them (exact sweep at visit time).
+    /// with one fused [`Switch::visit`] per due switch and lazy
+    /// link-bandwidth queries.  A switch whose visit was a no-op is
+    /// parked (its `switch_mask` bit cleared) until a delivery, a
+    /// landing credit or an outgoing link regaining a whole flit of
+    /// bandwidth wakes it; until then every visit would repeat the same
+    /// no-op.  The differential suite in `tests/fast_step.rs` pins the
+    /// equivalence cycle by cycle.  Shared insert sites maintain the
+    /// link and injector bitsets as conservative supersets, and only
+    /// this path clears them (exact sweep at visit time).
     fn step_masked(&mut self) {
         debug_assert!(self.masked);
         let now = self.now;
@@ -1430,7 +1593,13 @@ impl Network {
                     self.links_mask[w] &= !(1u64 << (li & 63));
                     continue;
                 }
+                // Bandwidth for a whole flit reopening wakes the link's
+                // source switch if it parked on this port.
+                let closed = !self.links[li].can_accept();
                 self.links[li].begin_cycle();
+                if closed && self.links[li].can_accept() {
+                    self.wake_parked(self.link_src[li]);
+                }
                 arrivals.clear();
                 Link::take_arrivals_into(&mut self.flight, li, now, &mut arrivals);
                 if !arrivals.is_empty() {
@@ -1439,7 +1608,7 @@ impl Network {
                         self.switches[sw].deliver(port, d.vc, d.flit);
                     }
                     self.active_switches.insert(sw);
-                    set_bit(&mut self.switch_mask, sw);
+                    self.mark_switch(sw);
                 }
                 // Observability hook, mirroring the reference phase 0.
                 if let Some(t) = &mut self.telemetry {
@@ -1456,80 +1625,100 @@ impl Network {
         // Phase 1: injection.
         self.pump_injection_fast();
 
-        // Phase 2/3: RC + VA on switches with buffered flits, ascending
-        // bit order; empty switches drop out (the reference sweep).
-        let mut order = std::mem::take(&mut self.scratch_order);
-        order.clear();
-        for w in 0..self.switch_mask.len() {
-            let mut bits = self.switch_mask[w];
-            while bits != 0 {
-                let si = (w << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                order.push(si);
-            }
-        }
-        let n_switches = self.switches.len();
-        let mut grants = std::mem::take(&mut self.scratch_grants);
-        for slot in &mut order {
-            let si = *slot;
-            if self.switches[si].is_quiescent() {
-                clear_bit(&mut self.switch_mask, si);
-                // Mark for exclusion from the phase 4 walk below.
-                *slot = usize::MAX;
-                continue;
-            }
-            let lut_row = &self.lut[si * n_switches..(si + 1) * n_switches];
-            self.switches[si].alloc_phase_fast(now, lut_row, &mut grants);
-            self.resolve_radio_targets(si, &grants);
-            if let Some(t) = &mut self.telemetry {
-                let sc = &mut t.switches[si];
-                sc.active_cycles += 1;
-                sc.occupancy_integral += self.switches[si].buffered_flits() as u64;
-            }
-        }
-        self.scratch_grants = grants;
-        order.retain(|&si| si != usize::MAX);
-
-        // Phase 4: SA/ST in the same rotated order as the reference sort —
-        // the ascending survivor list rotated at the first index ≥
-        // offset.  Link bandwidth is queried lazily inside the switch
-        // phase, only for ports with an actual candidate.
+        // Phases 2–4: one fused RC/VA/SA+ST visit per due switch, in the
+        // reference phase 4's rotated order (ascending from `now mod n`,
+        // wrapping).  Only the shared band budget, meter charges and
+        // arrivals depend on that order; a switch's RC/VA reads only its
+        // own state, so running it just before its own SA/ST instead of
+        // in a separate ascending pass changes no decision.
         let mut band_budget = match self.cfg.wireless_mode {
             WirelessMode::PointToPoint { max_concurrent, .. } => max_concurrent,
             WirelessMode::Medium => u32::MAX,
         };
+        let n_switches = self.switches.len();
         let offset = (now % n_switches as u64) as usize;
-        let split = order.partition_point(|&si| si < offset);
-        order.rotate_left(split);
+        let words = self.switch_mask.len();
+        let first = offset >> 6;
+        let mut grants = std::mem::take(&mut self.scratch_grants);
         let mut moves = std::mem::take(&mut self.scratch_moves);
-        for &si in &order {
-            let pb = self.port_base[si];
-            let ports = self.port_base[si + 1] - pb;
-            {
-                let links = &self.links;
-                let out_link = &self.out_link;
-                self.switches[si].st_phase_fast(
-                    now,
-                    |p| match out_link[pb + p] {
-                        Some(li) => links[li].available(),
-                        None => u32::MAX, // local sink / radio: credits gate
-                    },
-                    &self.band_port[pb..pb + ports],
-                    &mut band_budget,
-                    &mut moves,
-                );
+        // Visits only clear bits (of the visited switch), so each word is
+        // read once, when its turn comes; the start word is read twice,
+        // high bits first and the wrapped-around low bits last.
+        for k in 0..=words {
+            let w = (first + k) % words;
+            let mut bits = self.switch_mask[w];
+            if k == 0 {
+                bits &= !0u64 << (offset & 63);
+            } else if k == words {
+                bits &= (1u64 << (offset & 63)) - 1;
             }
-            for m in &moves {
-                self.apply_move(si, pb, m, now);
+            while bits != 0 {
+                let si = (w << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.visit_switch(si, now, &mut band_budget, &mut grants, &mut moves);
             }
         }
+        self.scratch_grants = grants;
         self.scratch_moves = moves;
-        self.scratch_order = order;
 
         self.drain_charges();
         self.run_media_phase(now);
         self.land_credits();
         self.finish_cycle(now);
+    }
+
+    /// One masked-pipeline visit of due switch `si` (phases 2–4).  An
+    /// empty switch leaves the due set; a no-op visit parks the switch
+    /// (see `docs/engine.md`, "One visit per switch, parked when
+    /// blocked").
+    fn visit_switch(
+        &mut self,
+        si: usize,
+        now: u64,
+        band_budget: &mut u32,
+        grants: &mut Vec<VaGrant>,
+        moves: &mut Vec<StMove>,
+    ) {
+        if self.switches[si].is_quiescent() {
+            clear_bit(&mut self.switch_mask, si);
+            return;
+        }
+        self.unpark(si, now);
+        // Occupancy is sampled before ST, as the reference phase 2/3 did.
+        if let Some(t) = &mut self.telemetry {
+            let sc = &mut t.switches[si];
+            sc.active_cycles += 1;
+            sc.occupancy_integral += self.switches[si].buffered_flits() as u64;
+        }
+        let n = self.switches.len();
+        let pb = self.port_base[si];
+        let ports = self.port_base[si + 1] - pb;
+        let links = &self.links;
+        let out_link = &self.out_link;
+        let visit = self.switches[si].visit(
+            now,
+            &self.lut[si * n..(si + 1) * n],
+            |p| match out_link[pb + p] {
+                Some(li) => links[li].available(),
+                None => u32::MAX, // local sink / radio: credits gate
+            },
+            &self.band_port[pb..pb + ports],
+            band_budget,
+            grants,
+            moves,
+        );
+        self.work.switch_visits += 1;
+        self.work.busy_vc_bits += u64::from(visit.busy_bits);
+        self.resolve_radio_targets(si, grants);
+        for m in moves.iter() {
+            self.apply_move(si, pb, m, now);
+        }
+        if visit.no_op {
+            clear_bit(&mut self.switch_mask, si);
+            let flits = self.switches[si].buffered_flits() as u64;
+            self.parks[si] = Some(Park { cycle: now, flits });
+            self.work.parks += 1;
+        }
     }
 
     /// Phase 1 of the masked pipeline: injection over the endpoint
@@ -1560,7 +1749,7 @@ impl Network {
                 let flit = self.inj_pending.pop_front(ni).expect("front exists");
                 self.switches[ni].deliver(0, vc, flit);
                 self.active_switches.insert(ni);
-                set_bit(&mut self.switch_mask, ni);
+                self.mark_switch(ni);
                 self.backlog_flits -= 1;
                 self.flits_in_network += 1;
                 self.last_progress = self.now;
@@ -1593,7 +1782,7 @@ impl Network {
             let flit = self.inj_pending.pop_front(ni).expect("front exists");
             self.switches[ni].deliver(0, vc, flit);
             self.active_switches.insert(ni);
-            set_bit(&mut self.switch_mask, ni);
+            self.mark_switch(ni);
             self.backlog_flits -= 1;
             self.flits_in_network += 1;
             self.last_progress = self.now;
@@ -1698,7 +1887,7 @@ impl Network {
                     }
                     self.switches[ti].deliver(t_port, rx_vc, flit);
                     self.active_switches.insert(ti);
-                    set_bit(&mut self.switch_mask, ti);
+                    self.mark_switch(ti);
                     self.last_progress = self.now;
                 }
             }
@@ -1759,7 +1948,17 @@ impl Network {
             active_switches: self.active_switches.members().to_vec(),
             active_injectors: self.active_injectors.members().to_vec(),
             links_mask: self.links_mask.clone(),
-            switch_mask: self.switch_mask.clone(),
+            // Parked switches count as due: the snapshot carries no park
+            // state, and a restore wakes them.
+            switch_mask: {
+                let mut mask = self.switch_mask.clone();
+                for (si, park) in self.parks.iter().enumerate() {
+                    if park.is_some() {
+                        set_bit(&mut mask, si);
+                    }
+                }
+                mask
+            },
             inj_mask: self.inj_mask.clone(),
         }
     }
@@ -1802,6 +2001,8 @@ impl Network {
         for (m, v) in self.media.iter_mut().zip(&s.media) {
             m.restore_state_value(v)?;
         }
+        self.settle_parks();
+        self.parks.fill(None);
         self.now = s.now;
         for (sw, st) in self.switches.iter_mut().zip(&s.switches) {
             sw.restore_state(st);
@@ -1834,6 +2035,13 @@ impl Network {
         self.active_injectors = ActiveSet::restore(self.inj_rr.len(), &s.active_injectors);
         self.links_mask.copy_from_slice(&s.links_mask);
         self.switch_mask.copy_from_slice(&s.switch_mask);
+        // Every non-empty switch is due: a snapshot needs no park state
+        // (a parked switch's next visit repeats its no-op and re-parks).
+        for (si, sw) in self.switches.iter().enumerate() {
+            if !sw.is_quiescent() {
+                set_bit(&mut self.switch_mask, si);
+            }
+        }
         self.inj_mask.copy_from_slice(&s.inj_mask);
         self.charge_log.clear();
         Ok(())

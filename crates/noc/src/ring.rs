@@ -23,7 +23,7 @@
 /// with its own head offset and length.  `T: Copy` keeps push/pop a
 /// plain slot write/read; a caller-supplied fill value initialises
 /// unoccupied slots (no `Default` bound on the payload).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct RingSlab<T> {
     slots: Vec<T>,
     /// CSR lane bounds into `slots` (`lanes + 1` entries).
@@ -34,6 +34,23 @@ pub struct RingSlab<T> {
     len: Vec<u32>,
     /// Value for unoccupied slots (and for growth rebuilds).
     fill: T,
+    /// Lane doublings so far (a work counter, not slab content).
+    regrowths: u64,
+    /// Slots those doublings moved (lane rotation plus the shift of
+    /// later lanes).
+    slots_copied: u64,
+}
+
+/// Equality is over the FIFO contents and lane layout; the growth
+/// counters are history, not content.
+impl<T: PartialEq> PartialEq for RingSlab<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.slots == other.slots
+            && self.base == other.base
+            && self.head == other.head
+            && self.len == other.len
+            && self.fill == other.fill
+    }
 }
 
 impl<T: Copy> RingSlab<T> {
@@ -64,7 +81,16 @@ impl<T: Copy> RingSlab<T> {
             head: vec![0; capacities.len()],
             len: vec![0; capacities.len()],
             fill,
+            regrowths: 0,
+            slots_copied: 0,
         }
+    }
+
+    /// Lane doublings so far and the slots they moved — deterministic
+    /// work counters (see `Network::work_counters`).  A
+    /// [`RingSlab::restore`] keeps them.
+    pub fn growth(&self) -> (u64, u64) {
+        (self.regrowths, self.slots_copied)
     }
 
     /// Number of lanes.
@@ -188,6 +214,8 @@ impl<T: Copy> RingSlab<T> {
                 next.push_back(l, v);
             }
         }
+        next.regrowths = self.regrowths;
+        next.slots_copied = self.slots_copied;
         *self = next;
     }
 
@@ -204,10 +232,13 @@ impl<T: Copy> RingSlab<T> {
         let start = self.base[lane] as usize;
         let cap = self.capacity(lane);
         let extra = (cap * 2).max(4) - cap;
-        self.slots[start..start + cap].rotate_left(self.head[lane] as usize);
+        let head = self.head[lane] as usize;
+        self.slots[start..start + cap].rotate_left(head);
         self.head[lane] = 0;
         let end = start + cap;
         let tail = self.slots.len();
+        self.regrowths += 1;
+        self.slots_copied += (if head == 0 { 0 } else { cap } + tail - end) as u64;
         let extra32 = u32::try_from(extra).expect("lane capacity fits u32");
         self.base[self.lanes()]
             .checked_add(extra32)
@@ -376,6 +407,34 @@ mod tests {
             }
         }
         assert_eq!(r.state(), back.state());
+    }
+
+    #[test]
+    fn growth_counters_count_doublings_and_moved_slots() {
+        // Lanes of 2, 2 and 3 slots; lane 0 wraps before it grows.
+        let mut r = RingSlab::with_capacities(&[2, 2, 3], 0u32);
+        r.push_back(0, 1);
+        r.push_back(0, 2);
+        r.pop_front(0);
+        r.push_back(0, 3);
+        assert_eq!(r.growth(), (0, 0));
+        // Doubling lane 0 to 4 slots rotates its 2 slots and shifts the
+        // 5 slots of lanes 1 and 2.
+        r.push_back_growing(0, 4);
+        assert_eq!(r.growth(), (1, 2 + 5));
+        // Lane 2 is last and its head is at 0: nothing moves.
+        for v in 0..4 {
+            r.push_back_growing(2, v);
+        }
+        assert_eq!(r.growth(), (2, 7));
+        // Equality ignores the counters, and a restore keeps them.
+        let (contents, caps) = r.state();
+        let mut fresh = RingSlab::uniform(3, 1, 0u32);
+        fresh.restore(&contents, &caps);
+        assert_eq!(fresh.growth(), (0, 0));
+        r.restore(&contents, &caps);
+        assert_eq!(r, fresh);
+        assert_eq!(r.growth(), (2, 7));
     }
 
     #[test]

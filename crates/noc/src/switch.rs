@@ -21,6 +21,12 @@
 //! contiguous struct-of-arrays flit slab, and the credit / output-owner
 //! tables are flat `port * vcs + vc` arrays — the RC/VA/SA pre-passes
 //! walk dense memory (see `docs/engine.md`, "Switch memory layout").
+//!
+//! The masked pipeline runs all three stages in one [`Switch::visit`]
+//! per cycle, which also reports whether the visit was a no-op so the
+//! network can park the switch until an event can unblock it.  The
+//! reference pipeline runs [`Switch::alloc_phase`] then
+//! [`Switch::st_phase`].
 
 use serde::{Deserialize, Serialize};
 use wimnet_topology::NodeId;
@@ -110,6 +116,20 @@ pub struct StMove {
     pub releases_input: bool,
 }
 
+/// What one [`Switch::visit`] did: the network's parking decision and
+/// work counters read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Visit {
+    /// Busy-mask bits the walk examined.
+    pub busy_bits: u32,
+    /// `true` when the visit changed nothing: no route computed, no VA
+    /// grant, no move, and no candidate on a shared-band port.  Every
+    /// stage it saw was then already due (`ready_at <= now`) and no
+    /// arbiter pointer moved, so until a flit, a credit or link
+    /// bandwidth arrives, visiting again would repeat the same no-op.
+    pub no_op: bool,
+}
+
 /// Configuration for one output port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutPortSpec {
@@ -148,13 +168,13 @@ pub struct Switch {
     /// iteration order is immaterial (pre-passes are commutative, and
     /// grant priority is imposed by the round-robin arbiters).
     busy: ActiveSet,
-    /// Bitmask mirror of `busy` for the masked pipeline's fused phases
+    /// Bitmask mirror of `busy` for the masked pipeline's fused visit
     /// (bit `flat` set ⇔ the VC *may* hold work): set on delivery, and
-    /// swept/cleared only by `alloc_phase_fast`/`st_phase_fast`.  Under
-    /// the reference phases the mask is a conservative superset (never
-    /// missing a busy VC — deliveries always set it), which is exactly
-    /// the invariant the fast sweep needs, so the two stepping paths can
-    /// be mixed freely.  Only maintained while `ports × vcs <= 128`
+    /// swept/cleared only by [`Switch::visit`].  Under the reference
+    /// phases the mask is a conservative superset (never missing a busy
+    /// VC — deliveries always set it), which is exactly the invariant
+    /// the fused sweep needs, so the two stepping paths can be mixed
+    /// freely.  Only maintained while `ports × vcs <= 128`
     /// ([`Switch::supports_mask`]).
     busy_mask: u128,
     // Preallocated per-cycle scratch (allocation-free hot path).
@@ -164,8 +184,8 @@ pub struct Switch {
     scratch_port_flags: Vec<bool>,
     /// Per-input-VC "already granted/used this cycle" flags.
     scratch_input_flags: Vec<bool>,
-    /// Fast-phase scratch: per-output candidate masks (VA requests /
-    /// SA actives), rebuilt by each fused pre-pass.
+    /// Fused-visit scratch: per-output VA request masks (first `ports`
+    /// words), then per-output SA candidate masks, rebuilt every visit.
     scratch_port_masks: Vec<u128>,
 }
 
@@ -198,7 +218,7 @@ impl Switch {
             scratch_requests: vec![0; p],
             scratch_port_flags: vec![false; p],
             scratch_input_flags: vec![false; p * vcs],
-            scratch_port_masks: vec![0; p],
+            scratch_port_masks: vec![0; 2 * p],
         }
     }
 
@@ -618,78 +638,112 @@ impl Switch {
         }
     }
 
-    /// Fused, mask-driven [`Switch::alloc_phase`]: one pass over the
-    /// busy-mask bits performs the sweep, RC, and the VA pre-pass
-    /// simultaneously, and VA arbitration runs bit-parallel via
-    /// [`RoundRobin::grant_masked`].  Decision-identical to the reference
-    /// phase — same stages, same grants, same grant order, same arbiter
-    /// pointer evolution — the differential suite pins this
-    /// (`tests/fast_step.rs`; see `docs/engine.md`, "One stepper,
-    /// chosen at construction").
+    /// One cycle of RC, VA and SA/ST in a single mask-driven visit —
+    /// the masked pipeline's per-switch work (see `docs/engine.md`,
+    /// "One visit per switch, parked when blocked").
     ///
-    /// Requires [`Switch::supports_mask`].  The dense `busy` active set
-    /// is left un-swept (it remains a superset, which `alloc_phase`
-    /// tolerates).
-    pub fn alloc_phase_fast(&mut self, now: u64, lut: &[RouteEntry], grants: &mut Vec<VaGrant>) {
+    /// One walk over the busy-mask bits sweeps empty idle VCs, computes
+    /// routes, and builds both the per-output VA request masks and the
+    /// SA candidate masks.  The SA masks can come from the pre-VA
+    /// stages because RC only creates `Routed { ready_at: now + 1 }`
+    /// and VA only creates `Active { ready_at: now + 1 }`: neither is a
+    /// candidate this cycle.  VA then arbitrates bit-parallel via
+    /// [`RoundRobin::grant_masked`], and SA does the same with the
+    /// downstream-credit check as its only residual predicate.  Link
+    /// bandwidth is queried lazily: `avail(port)` is called only for
+    /// ports with a candidate.
+    ///
+    /// Decision-identical to [`Switch::alloc_phase`] followed by
+    /// [`Switch::st_phase`]: same stages, grants, moves, move order,
+    /// band-budget draws and arbiter pointers (pinned by
+    /// `tests/fast_step.rs`).  VA grants go to `grants` and moves to
+    /// `moves` (both cleared first).  Requires
+    /// [`Switch::supports_mask`]; the dense `busy` set is left
+    /// un-swept (it stays a superset, which `alloc_phase` tolerates).
+    // Two out-params plus the SA inputs; a struct would only rename them.
+    #[allow(clippy::too_many_arguments)]
+    pub fn visit(
+        &mut self,
+        now: u64,
+        lut: &[RouteEntry],
+        mut avail: impl FnMut(usize) -> u32,
+        shared_band: &[bool],
+        band_budget: &mut u32,
+        grants: &mut Vec<VaGrant>,
+        moves: &mut Vec<StMove>,
+    ) -> Visit {
         grants.clear();
+        moves.clear();
         debug_assert!(self.supports_mask());
         let vcs = self.vcs;
         let ports = self.out_spec.len();
-        // Fused sweep + RC + VA pre-pass: walk the busy bits once.
+        debug_assert_eq!(shared_band.len(), ports);
+        let (requests, cands) = self.scratch_port_masks.split_at_mut(ports);
+        requests.fill(0);
+        cands.fill(0);
+        // Fused sweep + RC + VA requests + SA candidates: one bit walk.
         let mut live: u128 = 0;
+        let mut busy_bits = 0u32;
+        let mut routed = false;
         let mut any_request = false;
-        self.scratch_port_masks.fill(0);
+        let mut any_active = false;
         let mut m = self.busy_mask;
         while m != 0 {
             let flat = m.trailing_zeros() as usize;
             m &= m - 1;
-            let stage = self.inputs.stage(flat);
-            if self.inputs.is_empty(flat) {
-                if stage == VcStage::Idle {
-                    continue; // swept: neither flits nor a live stage
+            busy_bits += 1;
+            let bit = 1u128 << flat;
+            match self.inputs.stage(flat) {
+                VcStage::Idle => {
+                    if self.inputs.is_empty(flat) {
+                        continue; // swept: neither flits nor a live stage
+                    }
+                    // RC: idle VC with a head flit at the front.
+                    assert!(
+                        self.inputs.front_kind(flat).is_head(),
+                        "non-head flit at the front of an idle VC"
+                    );
+                    let entry = lut[self.inputs.front_dest(flat).index()];
+                    self.inputs.set_stage(
+                        flat,
+                        VcStage::Routed { out_port: entry.port, ready_at: now + 1 },
+                    );
+                    routed = true;
                 }
-            } else if stage == VcStage::Idle {
-                // RC: idle VC with a head flit at the front.
-                assert!(
-                    self.inputs.front_kind(flat).is_head(),
-                    "non-head flit at the front of an idle VC"
-                );
-                let entry = lut[self.inputs.front_dest(flat).index()];
-                self.inputs.set_stage(
-                    flat,
-                    VcStage::Routed { out_port: entry.port, ready_at: now + 1 },
-                );
-            }
-            live |= 1u128 << flat;
-            if let VcStage::Routed { out_port, ready_at } = stage {
-                if ready_at <= now {
-                    self.scratch_port_masks[out_port] |= 1u128 << flat;
-                    any_request = true;
+                VcStage::Routed { out_port, ready_at } => {
+                    if ready_at <= now {
+                        requests[out_port] |= bit;
+                        any_request = true;
+                    }
+                }
+                VcStage::Active { out_port, ready_at, .. } => {
+                    if ready_at <= now && !self.inputs.is_empty(flat) {
+                        cands[out_port] |= bit;
+                        any_active = true;
+                    }
                 }
             }
+            live |= bit;
         }
         self.busy_mask = live;
-        if !any_request {
-            return;
-        }
         // VA: the request mask fully encodes the reference predicate
         // (Routed at this port, ready, not yet granted — grants clear
         // their bit), so arbitration needs no residual check.
-        for out_port in 0..ports {
-            let mut pending = self.scratch_port_masks[out_port];
-            if pending == 0 {
-                continue;
-            }
-            for out_vc in 0..vcs {
-                if pending == 0 {
-                    break;
-                }
-                if self.out_owner[out_port * vcs + out_vc].is_some() {
-                    continue;
-                }
-                if let Some(flat) = self.va_arb[out_port].grant_masked(pending, |_| true) {
+        if any_request {
+            for (out_port, &wanted) in requests.iter().enumerate() {
+                let mut pending = wanted;
+                for out_vc in 0..vcs {
+                    if pending == 0 {
+                        break;
+                    }
+                    if self.out_owner[out_port * vcs + out_vc].is_some() {
+                        continue;
+                    }
+                    let Some(flat) = self.va_arb[out_port].grant_masked(pending, |_| true)
+                    else {
+                        break;
+                    };
                     pending &= !(1u128 << flat);
-                    let (p, v) = (flat / vcs, flat % vcs);
                     debug_assert!(!self.inputs.is_empty(flat), "routed VC has a front flit");
                     let packet = self.inputs.front_packet(flat);
                     let dest = self.inputs.front_dest(flat);
@@ -699,8 +753,8 @@ impl Switch {
                     );
                     self.out_owner[out_port * vcs + out_vc] = Some(packet);
                     grants.push(VaGrant {
-                        in_port: p,
-                        in_vc: v,
+                        in_port: flat / vcs,
+                        in_vc: flat % vcs,
                         out_port,
                         out_vc,
                         packet,
@@ -709,107 +763,75 @@ impl Switch {
                 }
             }
         }
-    }
-
-    /// Fused, mask-driven [`Switch::st_phase`]: one pass over the busy
-    /// bits builds per-output candidate masks, SA arbitration runs via
-    /// [`RoundRobin::grant_masked`] (the downstream-credit check is the
-    /// only residual predicate), and link bandwidth is queried lazily —
-    /// `avail(port)` is called only for ports that actually have an
-    /// active candidate, so idle links cost nothing here.
-    /// Decision-identical to the reference phase (same winners, same move
-    /// order, same band-budget draws).  Requires
-    /// [`Switch::supports_mask`].
-    pub fn st_phase_fast(
-        &mut self,
-        now: u64,
-        mut avail: impl FnMut(usize) -> u32,
-        shared_band: &[bool],
-        band_budget: &mut u32,
-        moves: &mut Vec<StMove>,
-    ) {
-        moves.clear();
-        debug_assert!(self.supports_mask());
-        let vcs = self.vcs;
-        let ports = self.out_spec.len();
-        debug_assert_eq!(shared_band.len(), ports);
-        // Fused pre-pass: per-output candidate masks in one bit walk.
-        self.scratch_port_masks.fill(0);
-        let mut any_active = false;
-        let mut m = self.busy_mask;
-        while m != 0 {
-            let flat = m.trailing_zeros() as usize;
-            m &= m - 1;
-            if let VcStage::Active { out_port, ready_at, .. } = self.inputs.stage(flat) {
-                if ready_at <= now && !self.inputs.is_empty(flat) {
-                    self.scratch_port_masks[out_port] |= 1u128 << flat;
-                    any_active = true;
+        // SA + ST over the pre-VA candidates.
+        let mut band_candidate = false;
+        if any_active {
+            for out_port in 0..ports {
+                let mut port_cands = cands[out_port];
+                if port_cands == 0 {
+                    continue;
                 }
-            }
-        }
-        if !any_active {
-            return;
-        }
-        for out_port in 0..ports {
-            let mut cands = self.scratch_port_masks[out_port];
-            if cands == 0 {
-                continue;
-            }
-            let mut budget = self.out_spec[out_port].max_grants.min(avail(out_port));
-            if shared_band[out_port] {
-                budget = budget.min(*band_budget);
-            }
-            for _ in 0..budget {
-                let inputs = &self.inputs;
-                let credits = &self.credits;
-                let out_spec = &self.out_spec;
-                // The candidate mask encodes "Active at this port, ready,
-                // non-empty, not yet used" (winners clear their bit; a VC
-                // is Active toward exactly one port, so a pop here cannot
-                // empty a candidate of another port).  Only the
-                // per-output-VC credit check remains data-dependent.
-                let won = self.sa_arb[out_port].grant_masked(cands, |flat| {
-                    match inputs.stage(flat) {
-                        VcStage::Active { out_vc, .. } => {
-                            out_spec[out_port].is_sink
-                                || credits[out_port * vcs + out_vc] > 0
-                        }
-                        _ => unreachable!("candidate mask holds only active VCs"),
-                    }
-                });
-                let Some(flat) = won else { break };
-                cands &= !(1u128 << flat);
-                let (p, v) = (flat / vcs, flat % vcs);
-                let VcStage::Active { out_port: op, out_vc, .. } = self.inputs.stage(flat)
-                else {
-                    unreachable!("winner was Active");
-                };
-                debug_assert_eq!(op, out_port);
-                let flit = self.inputs.pop(flat).expect("winner has a flit");
-                self.buffered -= 1;
-                if !self.out_spec[out_port].is_sink {
-                    self.credits[out_port * vcs + out_vc] -= 1;
-                }
+                let mut budget = self.out_spec[out_port].max_grants.min(avail(out_port));
                 if shared_band[out_port] {
-                    *band_budget -= 1;
+                    band_candidate = true;
+                    budget = budget.min(*band_budget);
                 }
-                let releases_input = flit.kind.is_tail();
-                if releases_input {
-                    self.inputs.set_stage(flat, VcStage::Idle);
-                    self.out_owner[out_port * vcs + out_vc] = None;
-                    if self.inputs.is_empty(flat) {
-                        self.busy_mask &= !(1u128 << flat);
+                for _ in 0..budget {
+                    let inputs = &self.inputs;
+                    let credits = &self.credits;
+                    let out_spec = &self.out_spec;
+                    // The candidate mask encodes "Active at this port,
+                    // ready, non-empty, not yet used" (winners clear
+                    // their bit; a VC is Active toward exactly one port,
+                    // so a pop here cannot empty a candidate of another
+                    // port).  Only the per-output-VC credit check
+                    // remains data-dependent.
+                    let won = self.sa_arb[out_port].grant_masked(port_cands, |flat| {
+                        match inputs.stage(flat) {
+                            VcStage::Active { out_vc, .. } => {
+                                out_spec[out_port].is_sink
+                                    || credits[out_port * vcs + out_vc] > 0
+                            }
+                            _ => unreachable!("candidate mask holds only active VCs"),
+                        }
+                    });
+                    let Some(flat) = won else { break };
+                    port_cands &= !(1u128 << flat);
+                    let VcStage::Active { out_port: op, out_vc, .. } = self.inputs.stage(flat)
+                    else {
+                        unreachable!("winner was Active");
+                    };
+                    debug_assert_eq!(op, out_port);
+                    let flit = self.inputs.pop(flat).expect("winner has a flit");
+                    self.buffered -= 1;
+                    if !self.out_spec[out_port].is_sink {
+                        self.credits[out_port * vcs + out_vc] -= 1;
                     }
+                    if shared_band[out_port] {
+                        *band_budget -= 1;
+                    }
+                    let releases_input = flit.kind.is_tail();
+                    if releases_input {
+                        self.inputs.set_stage(flat, VcStage::Idle);
+                        self.out_owner[out_port * vcs + out_vc] = None;
+                        if self.inputs.is_empty(flat) {
+                            self.busy_mask &= !(1u128 << flat);
+                        }
+                    }
+                    moves.push(StMove {
+                        in_port: flat / vcs,
+                        in_vc: flat % vcs,
+                        out_port,
+                        out_vc,
+                        flit,
+                        releases_input,
+                    });
                 }
-                moves.push(StMove {
-                    in_port: p,
-                    in_vc: v,
-                    out_port,
-                    out_vc,
-                    flit,
-                    releases_input,
-                });
             }
+        }
+        Visit {
+            busy_bits,
+            no_op: !routed && grants.is_empty() && moves.is_empty() && !band_candidate,
         }
     }
 }
@@ -1079,6 +1101,39 @@ mod tests {
         for w in winners.windows(2) {
             assert_ne!(w[0], w[1], "round robin must alternate: {winners:?}");
         }
+    }
+
+    #[test]
+    fn visit_reports_a_no_op_only_when_nothing_can_change() {
+        let mut sw = Switch::new(
+            NodeId(0),
+            2,
+            4,
+            &[
+                OutPortSpec { credit: 4, is_sink: true, max_grants: 1 },
+                OutPortSpec { credit: 1, is_sink: false, max_grants: 1 },
+            ],
+        );
+        sw.deliver(0, 0, mk_flit(1, 0, 2, NodeId(9)));
+        sw.deliver(0, 0, mk_flit(1, 1, 2, NodeId(9)));
+        let (mut grants, mut moves) = (Vec::new(), Vec::new());
+        let mut visit = |sw: &mut Switch, now: u64, band: bool, budget: u32| {
+            let mut budget = budget;
+            let band = [false, band];
+            let v = sw.visit(now, &lut(), |_| 9, &band, &mut budget, &mut grants, &mut moves);
+            (v.no_op, moves.len())
+        };
+        assert_eq!(visit(&mut sw, 0, false, 9), (false, 0), "RC is progress");
+        assert_eq!(visit(&mut sw, 1, false, 9), (false, 0), "a VA grant is progress");
+        assert_eq!(visit(&mut sw, 2, false, 9), (false, 1), "the head uses the one credit");
+        // Out of credit: nothing can move until a credit returns.
+        assert_eq!(visit(&mut sw, 3, false, 9), (true, 0));
+        assert_eq!(visit(&mut sw, 7, false, 9), (true, 0));
+        // A shared-band candidate never parks, even when it cannot move.
+        assert_eq!(visit(&mut sw, 8, true, 0), (false, 0));
+        sw.return_credit(1, 0);
+        assert_eq!(visit(&mut sw, 9, false, 9), (false, 1), "the tail follows the credit");
+        assert_eq!(sw.buffered_flits(), 0);
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! realisations, and under a mixed schedule (the conservative-superset
 //! bitset invariant).  Switches too large for the masks fall back to
 //! the reference pipeline.
+//!
+//! The masked pipeline parks a switch after a no-op visit and wakes it
+//! on a delivery, a landing credit or an outgoing link regaining
+//! bandwidth.  The credit-starved cases below (2-flit buffers, long
+//! serial-I/O chains) park constantly, so they pin the park/wake rules:
+//! a missed wake shows up here as a diverged cycle.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -112,7 +118,15 @@ fn assert_same(reference: &mut Network, fast: &mut Network, cycle: u64) {
     assert_eq!(reference.is_idle(), fast.is_idle(), "cycle {cycle}: idle predicates");
 }
 
-fn run_differential(arch: Architecture, cfg: NocConfig, medium: bool, seed: u64) {
+/// Two identically built and loaded networks: `(layout, reference,
+/// fast)`.
+fn twins(
+    arch: Architecture,
+    cfg: NocConfig,
+    medium: bool,
+    seed: u64,
+    packets: usize,
+) -> (MultichipLayout, Network, Network) {
     let (layout, mut reference) = build(arch, cfg.clone());
     let (_, mut fast) = build(arch, cfg);
     if medium {
@@ -120,14 +134,31 @@ fn run_differential(arch: Architecture, cfg: NocConfig, medium: bool, seed: u64)
         fast.attach_medium(Box::new(OneFlitMac));
     }
     assert!(fast.steps_masked(), "paper configs fit the 128-bit masks");
-    inject_random(&layout, &mut reference, seed, 40);
-    inject_random(&layout, &mut fast, seed, 40);
-    for cycle in 0..600u64 {
+    inject_random(&layout, &mut reference, seed, packets);
+    inject_random(&layout, &mut fast, seed, packets);
+    (layout, reference, fast)
+}
+
+/// Steps `fast` on the masked pipeline and `reference` on the reference
+/// one for `cycles` cycles, asserting equality after every cycle.
+fn lockstep(reference: &mut Network, fast: &mut Network, cycles: u64) {
+    for cycle in 0..cycles {
         reference.step_reference();
         fast.step();
         fast.assert_switch_invariants();
-        assert_same(&mut reference, &mut fast, cycle);
+        assert_same(reference, fast, cycle);
     }
+}
+
+fn run_differential(arch: Architecture, cfg: NocConfig, medium: bool, seed: u64) {
+    let (_, mut reference, mut fast) = twins(arch, cfg, medium, seed, 40);
+    lockstep(&mut reference, &mut fast, 600);
+}
+
+/// Paper config with 2-flit input buffers: every multi-flit packet
+/// backs up across several switches, so credit stalls dominate.
+fn starved() -> NocConfig {
+    NocConfig { buf_depth: 2, ..NocConfig::paper() }
 }
 
 #[test]
@@ -156,6 +187,142 @@ fn fast_step_matches_reference_wireless_point_to_point() {
 #[test]
 fn fast_step_matches_reference_wireless_medium() {
     run_differential(Architecture::Wireless, NocConfig::paper(), true, 0xD00D);
+}
+
+/// Credit starvation on the serial-I/O-heavy substrate and on the
+/// interposer: most switches spend most cycles blocked on downstream
+/// credit or on a serial link's bandwidth, so the masked pipeline parks
+/// and wakes them constantly — and must still match the reference
+/// cycle by cycle.
+#[test]
+fn parking_matches_reference_under_credit_starvation() {
+    for (arch, seed) in [
+        (Architecture::Substrate, 0x57A2),
+        (Architecture::Interposer, 0x57A3),
+    ] {
+        let (_, mut reference, mut fast) = twins(arch, starved(), false, seed, 120);
+        lockstep(&mut reference, &mut fast, 1_500);
+        let work = fast.work_counters();
+        assert!(work.parks > 100 && work.wakes > 100, "{arch:?}: parking engaged: {work:?}");
+    }
+}
+
+/// A single shared-band flit per cycle: switches with a candidate on a
+/// wireless port compete for a budget other switches drain first, so
+/// they must never park (their next visit may move a flit with nothing
+/// else changed).
+#[test]
+fn band_limited_switches_match_reference() {
+    for cfg in [NocConfig::paper(), starved()] {
+        let cfg = NocConfig {
+            wireless_mode: WirelessMode::PointToPoint {
+                rate: 16.0 / 80.0,
+                latency: 1,
+                max_concurrent: 1,
+            },
+            ..cfg
+        };
+        let (_, mut reference, mut fast) = twins(Architecture::Wireless, cfg, false, 0xBA4D, 80);
+        lockstep(&mut reference, &mut fast, 1_200);
+    }
+}
+
+/// Parked switches under a mixed schedule: the reference pipeline
+/// re-marks every switch it visits, so a switch parked by a masked
+/// step is due again after any reference step.
+#[test]
+fn mixed_schedule_with_parked_switches_matches_reference() {
+    let (_, mut reference, mut mixed) =
+        twins(Architecture::Substrate, starved(), false, 0x313D, 120);
+    let mut rng = SmallRng::seed_from_u64(17);
+    for cycle in 0..1_500u64 {
+        reference.step_reference();
+        // Long masked runs (so switches park) broken by reference steps.
+        if rng.gen_bool(0.85) {
+            mixed.step();
+        } else {
+            mixed.step_reference();
+        }
+        mixed.assert_switch_invariants();
+        assert_same(&mut reference, &mut mixed, cycle);
+    }
+    assert!(mixed.work_counters().parks > 0, "switches parked between reference steps");
+}
+
+/// A snapshot taken while switches are parked carries no park state;
+/// restoring it into a fresh network wakes every non-empty switch, and
+/// the resumed run matches the reference cycle by cycle.
+#[test]
+fn snapshot_taken_while_parked_resumes_exactly() {
+    let cfg = starved();
+    let (_, mut reference, mut fast) =
+        twins(Architecture::Substrate, cfg.clone(), false, 0x5AFE, 120);
+    let mut cycle = 0u64;
+    // Step until some switch is parked right now (in a pure masked run
+    // every wake follows a park, so parks > wakes means one is parked).
+    loop {
+        assert!(cycle < 2_000, "no switch ever parked");
+        reference.step_reference();
+        fast.step();
+        assert_same(&mut reference, &mut fast, cycle);
+        cycle += 1;
+        let work = fast.work_counters();
+        if work.parks > work.wakes + 2 {
+            break;
+        }
+    }
+    let snapshot = fast.state();
+    let (_, mut resumed) = build(Architecture::Substrate, cfg);
+    resumed.restore_state(&snapshot).expect("same shape");
+    resumed.assert_switch_invariants();
+    for k in 0..800u64 {
+        reference.step_reference();
+        resumed.step();
+        resumed.assert_switch_invariants();
+        assert_same(&mut reference, &mut resumed, cycle + k);
+    }
+    assert!(resumed.work_counters().parks > 0, "the resumed run parks again");
+}
+
+/// Observed runs park too: parked spans are credited to the switch
+/// counters in closed form (on wake, and when the sink is finished), so
+/// the whole telemetry sink — link and switch counters, time series and
+/// hop trace — equals the reference's, which visits every cycle.
+#[test]
+fn parked_switch_telemetry_matches_reference() {
+    for (arch, cfg) in [
+        (Architecture::Substrate, starved()),
+        (Architecture::Interposer, starved()),
+        (Architecture::Substrate, NocConfig::paper()),
+    ] {
+        let (_, mut reference, mut fast) = twins(arch, cfg, false, 0x7E1E, 100);
+        reference.enable_telemetry(64, true);
+        fast.enable_telemetry(64, true);
+        lockstep(&mut reference, &mut fast, 1_200);
+        assert!(fast.work_counters().parks > 0, "{arch:?}: parking engaged");
+        let want = reference.finish_telemetry().cloned();
+        let got = fast.finish_telemetry().cloned();
+        assert!(want.is_some());
+        assert_eq!(want, got, "{arch:?}: telemetry diverged");
+        // Finishing again settles nothing twice.
+        assert_eq!(fast.finish_telemetry().cloned(), got);
+    }
+}
+
+/// Telemetry enabled mid-run, while switches are parked, counts only
+/// the cycles after it was enabled — like the reference, which starts
+/// counting at its first visit after enabling.
+#[test]
+fn telemetry_enabled_while_parked_matches_reference() {
+    let (_, mut reference, mut fast) =
+        twins(Architecture::Substrate, starved(), false, 0xE4AB, 120);
+    lockstep(&mut reference, &mut fast, 400);
+    let work = fast.work_counters();
+    assert!(work.parks > work.wakes, "a switch is parked when the sink is attached");
+    reference.enable_telemetry(32, false);
+    fast.enable_telemetry(32, false);
+    lockstep(&mut reference, &mut fast, 600);
+    assert_eq!(reference.finish_telemetry().cloned(), fast.finish_telemetry().cloned());
 }
 
 /// The two pipelines may be mixed freely on one network: the word

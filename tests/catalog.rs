@@ -182,6 +182,38 @@ fn poisoned_entries_are_quarantined_and_recomputed() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// JSON nested 100 000 levels deep once overflowed the parser's stack
+/// and aborted the process.  Such an entry — here an envelope with the
+/// right version and fingerprint around a hostile `point` — must be
+/// quarantined like any other unparseable file and recomputed.
+#[test]
+fn deeply_nested_entries_are_quarantined_not_fatal() {
+    let g = grid();
+    let n = g.len();
+    let dir = temp_catalog("deep");
+    let catalog = Catalog::open(&dir).unwrap();
+    let first = g.run_cached(&catalog, 2, 2).unwrap();
+
+    let fp = g.point_fingerprint(&g.points()[1]);
+    let depth = 100_000;
+    let hostile = format!(
+        "{{\"engine_version\":\"{ENGINE_VERSION}\",\"fingerprint\":\"{}\",\"point\":{}{}}}",
+        fp.hex(),
+        "[".repeat(depth),
+        "]".repeat(depth),
+    );
+    fs::write(dir.join(format!("{}.json", fp.hex())), hostile).unwrap();
+    assert_eq!(catalog.lookup(&fp), None, "a hostile entry is never served");
+    assert_eq!(catalog.quarantined(), 1);
+    assert!(!catalog.contains(&fp), "quarantine moved the entry aside");
+
+    let healed = g.run_cached(&catalog, 2, 2).unwrap();
+    assert_eq!((healed.hits, healed.misses), (n - 1, 1));
+    assert_eq!(vector_bytes(&healed.outcomes), vector_bytes(&first.outcomes));
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Two threads filling **disjoint** shards of one catalog directory
 /// meet in the middle; two threads racing over the **same** full
 /// range dedupe through atomic rename to byte-identical entries.  No

@@ -377,6 +377,36 @@ fn corrupt_checkpoints_are_quarantined_never_served() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A checkpoint envelope nested 100 000 levels deep (once a stack
+/// overflow that aborted the process) is quarantined and never served;
+/// the store keeps working.
+#[test]
+fn deeply_nested_checkpoints_are_quarantined_not_fatal() {
+    let cfg = quick(Architecture::Substrate);
+    let dir = temp_store("deep");
+    let store = CheckpointStore::open(&dir).unwrap();
+    let (snap, fp) = snapshot_fixture(&cfg);
+    let path = dir.join(format!("{}.ckpt.json", fp.hex()));
+    store.store(&fp, &snap).unwrap();
+
+    let depth = 100_000;
+    let hostile = format!(
+        "{{\"engine_version\":\"{ENGINE_VERSION}\",\"fingerprint\":\"{}\",\"snapshot\":{}0{}}}",
+        fp.hex(),
+        "{\"net\":".repeat(depth),
+        "}".repeat(depth),
+    );
+    fs::write(&path, hostile).unwrap();
+    assert!(store.lookup(&fp).is_none(), "a hostile envelope is never served");
+    assert_eq!(store.quarantined(), 1);
+    assert!(!store.contains(&fp), "quarantine moved the file aside");
+
+    store.store(&fp, &snap).unwrap();
+    assert_eq!(store.lookup(&fp).unwrap().cycle, snap.cycle);
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// A store littered with abandoned temp files (crashed writers) sweeps
 /// them without touching live entries.
 #[test]
